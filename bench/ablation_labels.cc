@@ -91,7 +91,6 @@ void BM_SegmentReadLabelCheck(::benchmark::State& state) {
   }
 
   k->label_registry().set_enabled(cache_on);
-  k->label_registry().ResetStats();
   uint64_t buf = 0;
   ContainerEntry ce{ct.value(), seg.value()};
   for (auto _ : state) {
@@ -101,8 +100,6 @@ void BM_SegmentReadLabelCheck(::benchmark::State& state) {
     }
     ::benchmark::DoNotOptimize(buf);
   }
-  state.counters["cache_hits"] =
-      ::benchmark::Counter(static_cast<double>(k->label_registry().hits()));
   k->label_registry().set_enabled(true);
   CurrentThread::Set(kInvalidObject);
 }
@@ -156,7 +153,6 @@ void BM_RegistryLeq(::benchmark::State& state) {
     r ^= reg.Leq(i1, i2);
     ::benchmark::DoNotOptimize(r);
   }
-  state.counters["hits"] = ::benchmark::Counter(static_cast<double>(reg.hits()));
 }
 BENCHMARK(BM_RegistryLeq)
     ->ArgsProduct({{1, 4, 16, 64, 256}, {1, 0}})
@@ -214,9 +210,6 @@ void BM_RegistryLeqContended(::benchmark::State& state) {
   if (state.thread_index() == 0) {
     state.counters["shards"] =
         ::benchmark::Counter(static_cast<double>(contended::g_reg->shard_count()));
-    state.counters["hit_rate"] = ::benchmark::Counter(
-        static_cast<double>(contended::g_reg->hits()) /
-        static_cast<double>(contended::g_reg->hits() + contended::g_reg->misses() + 1));
     contended::g_reg.reset();
   }
 }

@@ -37,11 +37,9 @@ struct World {
 // Boots a world. If `with_store` is set, the kernel checkpoints to a
 // latency-modeled disk with the paper's drive geometry (ST340014A: 8.5 ms
 // seek, 7200 RPM, 58 MB/s); `store_data` keeps the bytes (needed only by
-// recovery tests — benches usually run latency-only). `tuning` selects the
-// store engine and its knobs; the default is the blob engine.
+// recovery tests — benches usually run latency-only).
 inline World BootWorld(bool with_store, uint64_t capacity_bytes = 2ULL << 30,
-                       bool store_data = false,
-                       const StoreTuning& tuning = StoreTuning{}) {
+                       bool store_data = false) {
   World w;
   w.kernel = std::make_unique<Kernel>();
   if (with_store) {
@@ -49,7 +47,7 @@ inline World BootWorld(bool with_store, uint64_t capacity_bytes = 2ULL << 30,
     g.capacity_bytes = capacity_bytes;
     g.store_data = store_data;
     w.disk = std::make_unique<DiskModel>(g);
-    w.store = std::make_unique<SingleLevelStore>(w.disk.get(), tuning);
+    w.store = std::make_unique<SingleLevelStore>(w.disk.get());
     if (w.store->Format() != Status::kOk) {
       std::abort();
     }

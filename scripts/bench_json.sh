@@ -5,24 +5,21 @@
 # git sha, and a machine-readable caveat when the host has fewer than 8
 # CPUs):
 #   * BENCH_pr6.json — the PR 6 scaling rows (labels, objtable, IPC rings);
-#   * BENCH_pr8.json — the PR 8 engine rows (blob vs Bε-tree dirty-1000
-#     checkpoint and restore), checked by scripts/check_bench_pr8.sh;
 #   * BENCH_pr10.json — the PR 10 tracing-overhead rows: the warm lock-free
 #     batch and the dirty-1000 checkpoint, once from the normal build and
 #     once from a -DHISTAR_TRACE=0 build (rows tagged "@notrace"), checked
 #     by scripts/check_bench_pr10.sh. Skipped with a note if the notrace
 #     build dir is absent.
 #
-# Usage: scripts/bench_json.sh [build-dir] [pr6-out-file] [pr8-out-file] \
-#                              [pr10-out-file] [notrace-build-dir]
+# Usage: scripts/bench_json.sh [build-dir] [pr6-out-file] [pr10-out-file] \
+#                              [notrace-build-dir]
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
 OUT="${2:-$ROOT/BENCH_pr6.json}"
-OUT8="${3:-$ROOT/BENCH_pr8.json}"
-OUT10="${4:-$ROOT/BENCH_pr10.json}"
-NOTRACE="${5:-$ROOT/build-notrace}"
+OUT10="${3:-$ROOT/BENCH_pr10.json}"
+NOTRACE="${4:-$ROOT/build-notrace}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -59,15 +56,6 @@ NPROC="$(nproc 2>/dev/null || echo 0)"
 "$BUILD/bench_emit_trajectory" \
   --out "$OUT" --pr 6 --sha "$SHA" --nproc "$NPROC" \
   "$TMP/labels.json" "$TMP/objtable.json" "$TMP/ipc.json"
-
-# PR 8 engine rows: Iterations(1)/UseManualTime rows, so no min_time knob.
-"$BUILD/bench_fig12_lfs_small" \
-  --benchmark_filter='BM_EngineCheckpointDirty|BM_EngineRestore' \
-  --benchmark_format=json > "$TMP/engine.json"
-
-"$BUILD/bench_emit_trajectory" \
-  --out "$OUT8" --pr 8 --sha "$SHA" --nproc "$NPROC" \
-  "$TMP/engine.json"
 
 # PR 10 tracing-overhead rows: the same two shapes from two trees. The warm
 # lock-free batch is the recorder's worst case (the event + histogram write

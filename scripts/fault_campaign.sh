@@ -6,8 +6,8 @@
 #
 # Usage: scripts/fault_campaign.sh [build-dir] [log-file]
 # Env:
-#   FAULT_SCHEDULES  schedules per workload (default 100 → 400 schedules
-#                    across the four workloads, betree-heavy included)
+#   FAULT_SCHEDULES  schedules per workload (default 100 → 300 schedules
+#                    across the three workloads)
 #   FAULT_SEED       replay exactly one failing schedule seed and exit
 set -euo pipefail
 

@@ -230,11 +230,9 @@ bool LabelRegistry::Leq(LabelId id1, LabelId id2) {
     EpochGuard guard;
     uint64_t v;
     if (MemoLookup(shard.leq.load(std::memory_order_acquire), key, &v)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
       return v != 0;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   bool r = Get(id1).Leq(Get(id2));
   {
     CountLock();
@@ -258,11 +256,9 @@ LabelId LabelRegistry::Join(LabelId id1, LabelId id2) {
       EpochGuard guard;
       uint64_t v;
       if (MemoLookup(shard.join.load(std::memory_order_acquire), key, &v)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
         return static_cast<LabelId>(v);
       }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     LabelId joined = Intern(Get(a).Join(Get(b)));
     {
       CountLock();
@@ -272,11 +268,6 @@ LabelId LabelRegistry::Join(LabelId id1, LabelId id2) {
     return joined;
   }
   return Intern(Get(a).Join(Get(b)));
-}
-
-void LabelRegistry::ResetStats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 size_t LabelRegistry::size() const {

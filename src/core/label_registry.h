@@ -125,10 +125,6 @@ class LabelRegistry {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  void ResetStats();
-
   // ---- lock accounting (tests / bench only) --------------------------------
   //
   // Mirrors ObjectTable's instrument: when enabled, every mutex
@@ -273,8 +269,6 @@ class LabelRegistry {
   const uint32_t instance_id_;
 
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
   mutable std::atomic<bool> lock_accounting_{false};
   mutable std::atomic<uint64_t> lock_acquisitions_{0};
 

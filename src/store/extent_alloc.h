@@ -5,7 +5,6 @@
 #define SRC_STORE_EXTENT_ALLOC_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/core/status.h"
@@ -33,14 +32,6 @@ class ExtentAllocator {
   uint64_t free_bytes() const { return free_bytes_; }
   // Number of distinct free extents (fragmentation metric).
   size_t fragment_count() const { return by_offset_.size(); }
-  // Size of the largest single free extent (0 when the pool is empty). The
-  // Bε-tree engine sizes its flush arena with this: a whole dirty-node batch
-  // lands in one contiguous run when a big enough extent exists.
-  uint64_t largest_free() const {
-    std::optional<std::pair<Key128, uint64_t>> m =
-        by_size_.LastLess(Key128{~0ULL, ~0ULL});
-    return m.has_value() ? m->first.hi : 0;
-  }
 
   // Resets to a single free extent covering the whole range.
   void Reset();

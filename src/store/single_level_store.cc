@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <set>
 
 #include "src/core/trace.h"
 #include "src/store/store_alloc.h"
@@ -23,11 +24,10 @@ namespace {
 // the deltas are exact; the disk's own counters lock its leaf mutex.
 class StoreOpTrace {
  public:
-  StoreOpTrace(trace::StoreOp op, DiskModel* disk, uint8_t engine_kind)
+  StoreOpTrace(trace::StoreOp op, DiskModel* disk)
 #if HISTAR_TRACE
       : op_(op),
         disk_(disk),
-        engine_kind_(engine_kind),
         t0_(trace::NowNs()),
         w0_(disk->write_ops()),
         b0_(disk->bytes_written())
@@ -36,15 +36,13 @@ class StoreOpTrace {
 #if !HISTAR_TRACE
     (void)op;
     (void)disk;
-    (void)engine_kind;
 #endif
   }
 
   void Finish(Status st) {
 #if HISTAR_TRACE
     trace::RecordStoreOp(op_, static_cast<int8_t>(st), trace::NowNs() - t0_,
-                         disk_->bytes_written() - b0_,
-                         disk_->write_ops() - w0_, engine_kind_);
+                         disk_->bytes_written() - b0_, disk_->write_ops() - w0_);
 #else
     (void)st;
 #endif
@@ -54,7 +52,6 @@ class StoreOpTrace {
 #if HISTAR_TRACE
   trace::StoreOp op_;
   DiskModel* disk_;
-  uint8_t engine_kind_;
   uint64_t t0_;
   uint64_t w0_;
   uint64_t b0_;
@@ -62,6 +59,37 @@ class StoreOpTrace {
 };
 
 }  // namespace
+
+void SingleLevelStore::PutRecord(std::vector<uint8_t>* out, uint64_t id, const ObjRecord& rec) {
+  PutU64(out, id);
+  PutU64(out, rec.extent.offset);
+  PutU64(out, rec.extent.length);
+  PutU64(out, rec.meta_len);
+}
+
+template <typename OnRecord, typename OnDead>
+bool SingleLevelStore::ParseBody(storewire::Reader* r, OnRecord&& on_record,
+                                 OnDead&& on_dead) {
+  uint32_t n_objects = r->U32();
+  for (uint32_t j = 0; j < n_objects && !r->fail; ++j) {
+    uint64_t id = r->U64();
+    ObjRecord rec;
+    rec.extent.offset = r->U64();
+    rec.extent.length = r->U64();
+    rec.meta_len = r->U64();
+    if (!r->fail) {
+      on_record(id, rec);
+    }
+  }
+  uint32_t n_dead = r->U32();
+  for (uint32_t j = 0; j < n_dead && !r->fail; ++j) {
+    uint64_t id = r->U64();
+    if (!r->fail) {
+      on_dead(id);
+    }
+  }
+  return !r->fail;
+}
 
 SingleLevelStore::SingleLevelStore(DiskModel* disk, const StoreTuning& tuning)
     : disk_(disk),
@@ -71,15 +99,17 @@ SingleLevelStore::SingleLevelStore(DiskModel* disk, const StoreTuning& tuning)
   // max_increments is NOT clamped to the superblock's chain capacity: when
   // the chain fills before an increment budget this large is spent, the
   // oldest increments fold into one (FoldChain) instead of forcing a base.
-  EngineContext ctx;
-  ctx.disk = disk_;
-  ctx.alloc = &alloc_;
-  ctx.pending_frees = &pending_frees_;
-  engine_ = MakeStoreEngine(tuning_.engine, ctx, tuning_.betree);
 }
 
-uint64_t SingleLevelStore::Checksum(const void* data, size_t len) {
-  return StoreChecksum(data, len);
+uint64_t StoreChecksum(const void* data, size_t len) {
+  // FNV-1a. Not cryptographic — it only needs to catch torn writes.
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 Status SingleLevelStore::Format() {
@@ -92,7 +122,9 @@ Status SingleLevelStore::Format() {
 }
 
 Status SingleLevelStore::FormatLocked() {
-  engine_->Reset();
+  objmap_.Clear();
+  pending_updates_.clear();
+  pending_deads_.clear();
   alloc_.Reset();
   root_ = kInvalidObject;
   generation_ = 0;
@@ -123,7 +155,7 @@ Status SingleLevelStore::WriteSuperblock() {
     sb.chain[2 * i + 1] = chain_[i].length;
   }
   sb.checksum = 0;
-  sb.checksum = Checksum(&sb, sizeof(sb));
+  sb.checksum = StoreChecksum(&sb, sizeof(sb));
   // Alternate slots only across SUCCESSFUL flips. A failed flip must retry
   // the same slot: advancing on failure would aim the next attempt at the
   // other slot — the one holding the newest durable superblock — and a
@@ -152,7 +184,7 @@ Status SingleLevelStore::ReadSuperblocks(Superblock* out) {
     }
     uint64_t want = sb.checksum;
     sb.checksum = 0;
-    if (sb.magic != kMagic || Checksum(&sb, sizeof(sb)) != want) {
+    if (sb.magic != kMagic || StoreChecksum(&sb, sizeof(sb)) != want) {
       continue;
     }
     sb.checksum = want;
@@ -175,16 +207,27 @@ Status SingleLevelStore::ReadSuperblocks(Superblock* out) {
 Status SingleLevelStore::FoldChain() {
   // The superblock can name kMaxChain sections and the chain is full, but
   // nothing demands a base: merge the oldest half of the increments into ONE
-  // increment whose replay is equivalent to replaying them in order. The
-  // engine merges its bodies; the store merges its label records
-  // (latest-wins per id — exactly what replaying them in order produces).
+  // increment whose replay is equivalent to replaying them in order. Label
+  // records merge latest-wins per id; each body's map records then its dead
+  // ids apply in order onto (recs, deads). A record may point at an extent
+  // that a later body superseded — harmless, exactly as in a live chain:
+  // replay order guarantees the final map entry wins before any object is
+  // loaded.
   size_t fold = (chain_.size() - 1) / 2;
   if (fold < 2) {
     return Status::kOk;  // nothing to gain
   }
-  std::vector<std::vector<uint8_t>> bodies;
-  bodies.reserve(fold);
   std::map<uint32_t, std::vector<uint8_t>> labels;
+  std::map<uint64_t, ObjRecord> recs;
+  std::set<uint64_t> deads;
+  auto on_record = [&](uint64_t id, const ObjRecord& rec) {
+    recs[id] = rec;
+    deads.erase(id);
+  };
+  auto on_dead = [&](uint64_t id) {
+    recs.erase(id);
+    deads.insert(id);
+  };
   uint64_t merged_epoch = 0;
   for (size_t i = 1; i <= fold; ++i) {
     const Extent& ext = chain_[i];
@@ -198,7 +241,7 @@ Status SingleLevelStore::FoldChain() {
     }
     uint64_t want;
     memcpy(&want, image.data() + image.size() - 8, 8);
-    if (Checksum(image.data(), image.size() - 8) != want) {
+    if (StoreChecksum(image.data(), image.size() - 8) != want) {
       return Status::kCorrupt;
     }
     storewire::Reader r{image.data(), image.size() - 8};
@@ -206,8 +249,7 @@ Status SingleLevelStore::FoldChain() {
     uint64_t epoch = r.U64();
     uint8_t kind = r.U8();
     uint8_t eng = r.U8();
-    if (r.fail || magic != kSectionMagic || kind != 1 ||
-        eng != static_cast<uint8_t>(engine_->kind())) {
+    if (r.fail || magic != kSectionMagic || kind != 1 || eng != kBlobEngine) {
       return Status::kCorrupt;
     }
     uint32_t n_labels = r.U32();
@@ -220,35 +262,38 @@ Status SingleLevelStore::FoldChain() {
       }
       labels[id] = std::move(bytes);
     }
-    if (r.fail) {
+    if (r.fail || !ParseBody(&r, on_record, on_dead)) {
       return Status::kCorrupt;
     }
-    bodies.emplace_back(image.begin() + static_cast<ptrdiff_t>(r.pos),
-                        image.end() - 8);
     merged_epoch = epoch;
   }
 
+  StoreAlloc::Check();
   std::vector<uint8_t> image;
   PutU64(&image, kSectionMagic);
   PutU64(&image, merged_epoch);  // replays in the folded range's place
   PutU8(&image, 1);
-  PutU8(&image, static_cast<uint8_t>(engine_->kind()));
+  PutU8(&image, kBlobEngine);
   PutU32(&image, static_cast<uint32_t>(labels.size()));
   for (const auto& [id, bytes] : labels) {
     PutU32(&image, id);
     PutU32(&image, static_cast<uint32_t>(bytes.size()));
     image.insert(image.end(), bytes.begin(), bytes.end());
   }
-  Status st = engine_->MergeSectionBodies(bodies, &image);
-  if (st != Status::kOk) {
-    return st;
+  PutU32(&image, static_cast<uint32_t>(recs.size()));
+  for (const auto& [id, rec] : recs) {
+    PutRecord(&image, id, rec);
+  }
+  PutU32(&image, static_cast<uint32_t>(deads.size()));
+  for (uint64_t id : deads) {
+    PutU64(&image, id);
   }
   Result<uint64_t> off = alloc_.Allocate(image.size() + 8);
   if (!off.ok()) {
     return off.status();
   }
-  uint64_t csum = Checksum(image.data(), image.size());
-  st = disk_->Write(off.value(), image.data(), image.size());
+  uint64_t csum = StoreChecksum(image.data(), image.size());
+  Status st = disk_->Write(off.value(), image.data(), image.size());
   if (st == Status::kOk) {
     st = disk_->Write(off.value() + image.size(), &csum, 8);
   }
@@ -278,16 +323,52 @@ Status SingleLevelStore::FoldChain() {
   return Status::kOk;
 }
 
+Status SingleLevelStore::WriteObject(ObjectId id, const std::vector<uint8_t>& bytes,
+                                     uint64_t meta_len) {
+  // Shadow write: new extent first, then retire the old one, so a crash
+  // mid-checkpoint leaves the previous snapshot intact. The trailing
+  // checksum covers only the metadata prefix [0, meta_len): segment payload
+  // after it may later be rewritten in place by SyncPages without
+  // invalidating the blob (ext3-writeback semantics — see
+  // docs/persistence.md).
+  StoreAlloc::Check();
+  meta_len = std::min<uint64_t>(meta_len, bytes.size());
+  Result<uint64_t> off = alloc_.Allocate(bytes.size() + 8);
+  if (!off.ok()) {
+    return off.status();
+  }
+  uint64_t csum = StoreChecksum(bytes.data(), meta_len);
+  Status st =
+      bytes.empty() ? Status::kOk : disk_->Write(off.value(), bytes.data(), bytes.size());
+  if (st == Status::kOk) {
+    st = disk_->Write(off.value() + bytes.size(), &csum, 8);
+  }
+  if (st != Status::kOk) {
+    StoreAllocNoFail cleanup;  // unwinding a failed write must not fault again
+    alloc_.Free(off.value(), bytes.size() + 8);
+    return st;
+  }
+  // The blob is durable and the extent allocated: the map/bookkeeping update
+  // must complete as a unit. A throw between the pending_frees_ push and the
+  // map insert would queue the extent the map still references for reuse.
+  StoreAllocNoFail atomic_update;
+  if (std::optional<ObjRecord> old = objmap_.Find(id); old.has_value()) {
+    pending_frees_.push_back(old->extent);
+  }
+  objmap_.Insert(id, ObjRecord{Extent{off.value(), bytes.size() + 8}, meta_len});
+  pending_updates_.push_back(id);
+  return Status::kOk;
+}
+
 Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* label_delta) {
   // The single commit point for every durable state advance. A base section
-  // re-emits the complete label table and the engine's full-state body; an
-  // increment carries only this epoch's label delta and the engine's delta
-  // body. Recovery replays the chain in order, so the chain length bounds
-  // replay work — hence the forced base every max_increments epochs and the
-  // fold when the superblock's chain slots run out first.
+  // re-emits the complete label table and object map; an increment carries
+  // only this epoch's label delta, map updates and deaths. Recovery replays
+  // the chain in order, so the chain length bounds replay work — hence the
+  // forced base every max_increments epochs and the fold when the
+  // superblock's chain slots run out first.
   StoreAlloc::Check();
-  bool base = need_base_ || chain_.empty() ||
-              chain_.size() - 1 >= tuning_.max_increments || engine_->WantsBase();
+  bool base = need_base_ || chain_.empty() || chain_.size() - 1 >= tuning_.max_increments;
   if (!base && chain_.size() >= kMaxChain) {
     Status st = FoldChain();
     if (st != Status::kOk) {
@@ -301,7 +382,8 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   PutU64(&image, kSectionMagic);
   PutU64(&image, epoch_ + 1);
   PutU8(&image, base ? 0 : 1);
-  PutU8(&image, static_cast<uint8_t>(engine_->kind()));
+  PutU8(&image, kBlobEngine);
+  std::vector<std::pair<uint64_t, ObjRecord>> entries;
   if (base) {
     PutU32(&image, static_cast<uint32_t>(label_table_.size()));
     for (const auto& [id, bytes] : label_table_) {  // ascending id: re-intern order
@@ -309,7 +391,10 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
       PutU32(&image, static_cast<uint32_t>(bytes.size()));
       image.insert(image.end(), bytes.begin(), bytes.end());
     }
-  } else if (!engine_->OwnsLabelDelta()) {
+    objmap_.ForEach([&entries](const uint64_t& id, const ObjRecord& rec) {
+      entries.emplace_back(id, rec);
+    });
+  } else {
     size_t n_labels = label_delta != nullptr ? label_delta->size() : 0;
     PutU32(&image, static_cast<uint32_t>(n_labels));
     if (label_delta != nullptr) {
@@ -319,21 +404,35 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
         image.insert(image.end(), rec.bytes.begin(), rec.bytes.end());
       }
     }
-  } else {
-    // The engine carries label deltas inside its body (Bε-tree messages).
-    PutU32(&image, 0);
+    // Deduplicate update ids (an object can be written twice between
+    // commits) and drop ids that died after being written.
+    std::sort(pending_updates_.begin(), pending_updates_.end());
+    pending_updates_.erase(std::unique(pending_updates_.begin(), pending_updates_.end()),
+                           pending_updates_.end());
+    for (uint64_t id : pending_updates_) {
+      if (std::optional<ObjRecord> rec = objmap_.Find(id); rec.has_value()) {
+        entries.emplace_back(id, *rec);
+      }
+    }
   }
-  Status st = engine_->EmitSectionBody(base, label_delta, &image);
-  if (st != Status::kOk) {
-    return st;
+  PutU32(&image, static_cast<uint32_t>(entries.size()));
+  for (const auto& [id, rec] : entries) {
+    PutRecord(&image, id, rec);
+  }
+  // A base names no dead ids: absence from the map suffices.
+  PutU32(&image, base ? 0 : static_cast<uint32_t>(pending_deads_.size()));
+  if (!base) {
+    for (uint64_t id : pending_deads_) {
+      PutU64(&image, id);
+    }
   }
 
   Result<uint64_t> off = alloc_.Allocate(image.size() + 8);
   if (!off.ok()) {
     return off.status();
   }
-  uint64_t csum = Checksum(image.data(), image.size());
-  st = disk_->Write(off.value(), image.data(), image.size());
+  uint64_t csum = StoreChecksum(image.data(), image.size());
+  Status st = disk_->Write(off.value(), image.data(), image.size());
   if (st == Status::kOk) {
     st = disk_->Write(off.value() + image.size(), &csum, 8);
   }
@@ -356,7 +455,8 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   }
   chain_.push_back(Extent{off.value(), image.size() + 8});
   need_base_ = false;
-  engine_->OnSectionWritten(base);
+  pending_updates_.clear();
+  pending_deads_.clear();
   last_commit_base_ = base;
   last_section_bytes_ = image.size() + 8;
   st = WriteSuperblock();
@@ -377,8 +477,7 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
 
 Status SingleLevelStore::Checkpoint(const CheckpointBatch& batch) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kCheckpoint, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kCheckpoint, disk_);
   Status st;
   try {
     st = CheckpointLocked(batch);
@@ -403,20 +502,23 @@ Status SingleLevelStore::CheckpointLocked(const CheckpointBatch& batch) {
   for (ObjectId id : batch.live) {
     live_set[id] = true;
   }
-  std::vector<ObjectId> held;
-  engine_->AppendLiveIds(&held);
-  for (ObjectId id : held) {
+  std::vector<std::pair<ObjectId, Extent>> dead;
+  objmap_.ForEach([&](const uint64_t& id, const ObjRecord& rec) {
     if (live_set.find(id) == live_set.end()) {
-      engine_->DeleteObject(id);
+      dead.emplace_back(id, rec.extent);
     }
+  });
+  for (const auto& [id, extent] : dead) {
+    objmap_.Erase(id);
+    pending_frees_.push_back(extent);
+    pending_deads_.push_back(id);
   }
-  // Write every dirty object image (delayed allocation: the blob engine
-  // lands the batch contiguously in creation order; the Bε-tree engine
-  // stages the batch as messages and writes nothing yet).
+  // Write every dirty object image (delayed allocation: the batch lands
+  // contiguously in creation order).
   std::unordered_map<uint64_t, bool> dirty_ids;
   dirty_ids.reserve(batch.dirty.size());
   for (const ObjectImage& img : batch.dirty) {
-    Status st = engine_->WriteObject(img.id, img.bytes, img.meta_len);
+    Status st = WriteObject(img.id, img.bytes, img.meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -432,7 +534,7 @@ Status SingleLevelStore::CheckpointLocked(const CheckpointBatch& batch) {
     if (dirty_ids.count(id) != 0 || live_set.find(id) == live_set.end()) {
       continue;
     }
-    Status st = engine_->WriteObject(id, img.bytes, img.meta_len);
+    Status st = WriteObject(id, img.bytes, img.meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -457,8 +559,7 @@ Status SingleLevelStore::CheckpointLocked(const CheckpointBatch& batch) {
 Status SingleLevelStore::SyncOne(ObjectId id, const std::vector<uint8_t>& bytes,
                                  uint64_t meta_len) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kSyncOne, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kSyncOne, disk_);
   Status st;
   try {
     st = SyncOneLocked(id, bytes, meta_len);
@@ -473,9 +574,9 @@ Status SingleLevelStore::SyncOneLocked(ObjectId id, const std::vector<uint8_t>& 
                                        uint64_t meta_len) {
   StoreAlloc::Check();
   if (bytes.size() > tuning_.log_region_bytes / 4) {
-    // Too big for the log: hand it to the engine and commit the new state
-    // as an increment (or a base if one is due).
-    Status st = engine_->WriteObject(id, bytes, meta_len);
+    // Too big for the log: write it to a fresh extent and commit the new
+    // state as an increment (or a base if one is due).
+    Status st = WriteObject(id, bytes, meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -498,7 +599,8 @@ Status SingleLevelStore::SyncOneLocked(ObjectId id, const std::vector<uint8_t>& 
     st = disk_->Write(base + sizeof(header), bytes.data(), bytes.size());
   }
   if (st == Status::kOk) {
-    uint64_t csum = Checksum(header, sizeof(header)) ^ Checksum(bytes.data(), bytes.size());
+    uint64_t csum =
+        StoreChecksum(header, sizeof(header)) ^ StoreChecksum(bytes.data(), bytes.size());
     st = disk_->Write(base + sizeof(header) + bytes.size(), &csum, 8);
   }
   if (st != Status::kOk) {
@@ -522,7 +624,7 @@ Status SingleLevelStore::ApplyLog() {
   StoreAlloc::Check();
   ++log_applies_;
   for (const auto& [id, img] : log_tail_) {
-    Status st = engine_->WriteObject(id, img.bytes, img.meta_len);
+    Status st = WriteObject(id, img.bytes, img.meta_len);
     if (st != Status::kOk) {
       return st;
     }
@@ -545,8 +647,7 @@ Status SingleLevelStore::ApplyLog() {
 Status SingleLevelStore::SyncPages(ObjectId id, uint64_t offset,
                                    const std::vector<uint8_t>& pages) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kSyncPages, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kSyncPages, disk_);
   Status st;
   try {
     st = SyncPagesLocked(id, offset, pages);
@@ -559,21 +660,30 @@ Status SingleLevelStore::SyncPages(ObjectId id, uint64_t offset,
 
 Status SingleLevelStore::SyncPagesLocked(ObjectId id, uint64_t offset,
                                          const std::vector<uint8_t>& pages) {
-  // The engine either writes the pages in place past the checksummed
-  // metadata prefix and barriers (blob path, leaf-resident Bε-tree path) or
-  // stages a patched image and asks for a commit (the pages then become
-  // durable with the section write + superblock flip — same sync contract,
-  // different mechanism).
-  bool needs_commit = false;
-  Status st = engine_->FlushPages(id, offset, pages, &needs_commit);
+  std::optional<ObjRecord> rec = objmap_.Find(id);
+  if (!rec.has_value()) {
+    return Status::kNotFound;  // never checkpointed: nothing to flush into
+  }
+  // In-place flush of real payload bytes, landing past the checksummed
+  // metadata prefix — the checksum therefore stays sound however this write
+  // interleaves with a crash. The on-disk image may predate a resize, so
+  // clamp to the stored payload capacity; pages beyond it are covered by
+  // the object's dirty mark at the next checkpoint.
+  uint64_t blob_len = rec->extent.length - 8;
+  uint64_t meta = std::min(rec->meta_len, blob_len);
+  uint64_t capacity = blob_len - meta;
+  if (offset >= capacity) {
+    return Status::kOk;
+  }
+  uint64_t n = std::min<uint64_t>(pages.size(), capacity - offset);
+  if (n == 0) {
+    return Status::kOk;
+  }
+  Status st = disk_->Write(rec->extent.offset + meta + offset, pages.data(), n);
   if (st != Status::kOk) {
     return st;
   }
-  if (needs_commit) {
-    last_commit_objects_ = 1;
-    return CommitSection(nullptr);
-  }
-  return Status::kOk;
+  return disk_->Flush();
 }
 
 Result<uint64_t> SingleLevelStore::TouchObject(ObjectId id) {
@@ -586,13 +696,27 @@ Result<uint64_t> SingleLevelStore::TouchObject(ObjectId id) {
 }
 
 Result<uint64_t> SingleLevelStore::TouchObjectLocked(ObjectId id) {
-  return engine_->TouchObject(id);
+  std::optional<ObjRecord> rec = objmap_.Find(id);
+  if (!rec.has_value()) {
+    return Status::kNotFound;
+  }
+  const Extent& e = rec->extent;
+  std::vector<uint8_t> buf(std::min<uint64_t>(e.length, 64 * 1024));
+  uint64_t pos = 0;
+  while (pos < e.length) {
+    uint64_t n = std::min<uint64_t>(buf.size(), e.length - pos);
+    Status st = disk_->Read(e.offset + pos, buf.data(), n);
+    if (st != Status::kOk) {
+      return st;
+    }
+    pos += n;
+  }
+  return e.length;
 }
 
 Status SingleLevelStore::Recover(Kernel* kernel) {
   MutexLock lock(&mu_);
-  StoreOpTrace t(trace::StoreOp::kRestore, disk_,
-                 static_cast<uint8_t>(engine_->kind()));
+  StoreOpTrace t(trace::StoreOp::kRestore, disk_);
   Status st;
   try {
     st = RecoverLocked(kernel);
@@ -616,17 +740,26 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
   epoch_ = sb.epoch;
 
   // Replay the checkpoint chain in order: the base re-creates the label
-  // table and the engine's full state, each increment folds its delta on
-  // top. The base section's engine byte decides which engine owns the disk:
-  // a store configured for one engine boots a disk written by the other by
-  // adopting the on-disk engine (every section must agree).
+  // table and the object map, each increment folds its delta on top. Every
+  // section must carry the blob engine byte; a disk written by the retired
+  // Bε-tree engine is rejected rather than misread.
   label_table_.clear();
-  engine_->Reset();
+  objmap_.Clear();
+  pending_updates_.clear();
+  pending_deads_.clear();
   chain_.clear();
   pending_frees_.clear();
   if (sb.chain_len > kMaxChain) {
     return Status::kCorrupt;
   }
+  auto on_record = [this](uint64_t id, const ObjRecord& rec) {
+    mu_.AssertHeld();  // closures don't inherit the caller's lock set
+    objmap_.Insert(id, rec);
+  };
+  auto on_dead = [this](uint64_t id) {
+    mu_.AssertHeld();
+    objmap_.Erase(id);
+  };
   uint64_t prev_epoch = 0;
   for (size_t i = 0; i < sb.chain_len; ++i) {
     Extent ext{sb.chain[2 * i], sb.chain[2 * i + 1]};
@@ -640,7 +773,7 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
     }
     uint64_t want;
     memcpy(&want, image.data() + image.size() - 8, 8);
-    if (Checksum(image.data(), image.size() - 8) != want) {
+    if (StoreChecksum(image.data(), image.size() - 8) != want) {
       return Status::kCorrupt;
     }
     storewire::Reader r{image.data(), image.size() - 8};
@@ -649,19 +782,8 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
     uint8_t kind = r.U8();
     uint8_t eng = r.U8();
     if (r.fail || magic != kSectionMagic || epoch <= prev_epoch ||
-        kind != (i == 0 ? 0 : 1) || eng > static_cast<uint8_t>(EngineKind::kBetree)) {
+        kind != (i == 0 ? 0 : 1) || eng != kBlobEngine) {
       return Status::kCorrupt;
-    }
-    if (i == 0) {
-      if (eng != static_cast<uint8_t>(engine_->kind())) {
-        EngineContext ctx;
-        ctx.disk = disk_;
-        ctx.alloc = &alloc_;
-        ctx.pending_frees = &pending_frees_;
-        engine_ = MakeStoreEngine(static_cast<EngineKind>(eng), ctx, tuning_.betree);
-      }
-    } else if (eng != static_cast<uint8_t>(engine_->kind())) {
-      return Status::kCorrupt;  // a chain never mixes engines
     }
     uint32_t n_labels = r.U32();
     for (uint32_t j = 0; j < n_labels && !r.fail; ++j) {
@@ -673,26 +795,22 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
       }
       label_table_[id] = std::move(bytes);
     }
-    if (r.fail) {
+    if (r.fail || !ParseBody(&r, on_record, on_dead)) {
       return Status::kCorrupt;
-    }
-    st = engine_->LoadSectionBody(
-        i == 0, &r, [this](uint32_t id, std::vector<uint8_t> bytes) {
-          label_table_[id] = std::move(bytes);
-        });
-    if (st != Status::kOk) {
-      return st;
     }
     prev_epoch = epoch;
     chain_.push_back(ext);
   }
 
-  // Rebuild the allocator: carve out the extents the engine references
-  // (object blobs / tree nodes) and the chain's section extents from a
-  // freshly reset free pool.
+  // Rebuild the allocator: carve out the object blobs' and the chain's
+  // section extents from a freshly reset free pool.
   alloc_.Reset();
+  std::vector<ObjRecord> blobs;
   std::vector<Extent> used;
-  engine_->CollectExtents(&used);
+  objmap_.ForEach([&](const uint64_t&, const ObjRecord& rec) {
+    blobs.push_back(rec);
+    used.push_back(rec.extent);
+  });
   for (const Extent& e : chain_) {
     used.push_back(e);
   }
@@ -720,12 +838,28 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
   }
   need_base_ = chain_.empty() || !ids_stable;
 
-  // Load every object into the kernel (checksum discipline is the engine's;
-  // both engines verify the metadata-prefix checksum and strip it).
-  st = engine_->LoadAllObjects(
-      [kernel](const std::vector<uint8_t>& blob) { return kernel->RestoreObject(blob); });
-  if (st != Status::kOk) {
-    return st;
+  // Load every object into the kernel. The checksum covers the metadata
+  // prefix only; payload bytes past it carry no integrity word (they may
+  // have been rewritten in place by SyncPages — writeback semantics).
+  for (const ObjRecord& rec : blobs) {
+    if (rec.extent.length < 8 || rec.meta_len > rec.extent.length - 8) {
+      return Status::kCorrupt;
+    }
+    std::vector<uint8_t> blob(rec.extent.length);
+    st = disk_->Read(rec.extent.offset, blob.data(), blob.size());
+    if (st != Status::kOk) {
+      return st;
+    }
+    uint64_t want;
+    memcpy(&want, blob.data() + blob.size() - 8, 8);
+    if (StoreChecksum(blob.data(), rec.meta_len) != want) {
+      return Status::kCorrupt;
+    }
+    blob.resize(blob.size() - 8);
+    st = kernel->RestoreObject(blob);
+    if (st != Status::kOk) {
+      return st;
+    }
   }
 
   // Replay the log tail: records with seq > applied and a valid checksum.
@@ -757,7 +891,8 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
     if (disk_->Read(log_start() + pos + sizeof(header) + len, &want, 8) != Status::kOk) {
       break;
     }
-    if ((Checksum(header, sizeof(header)) ^ Checksum(bytes.data(), bytes.size())) != want) {
+    if ((StoreChecksum(header, sizeof(header)) ^ StoreChecksum(bytes.data(), bytes.size())) !=
+        want) {
       break;  // torn record: end of valid log
     }
     st = kernel->RestoreObject(bytes);

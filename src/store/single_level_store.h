@@ -50,7 +50,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -59,10 +58,13 @@
 #include "src/kernel/kernel.h"
 #include "src/store/bptree.h"
 #include "src/store/disk_model.h"
-#include "src/store/engine.h"
 #include "src/store/extent_alloc.h"
 
 namespace histar {
+
+namespace storewire {
+struct Reader;
+}  // namespace storewire
 
 struct StoreTuning {
   uint64_t log_region_bytes = 16 << 20;   // 16 MB WAL
@@ -72,13 +74,10 @@ struct StoreTuning {
   // superblock's chain capacity, the oldest increments are folded into one
   // merged increment (FoldChain) instead of forcing a base.
   uint32_t max_increments = 32;
-  // Which storage engine owns object placement and section bodies
-  // (engine.h). Recovery adopts whatever engine the disk was written with,
-  // regardless of this knob.
-  EngineKind engine = EngineKind::kBlob;
-  // Shape knobs for the Bε-tree engine (ignored by the blob engine).
-  BetreeParams betree;
 };
+
+// FNV-1a over bytes — the store's torn-write checksum (not cryptographic).
+uint64_t StoreChecksum(const void* data, size_t len);
 
 class SingleLevelStore : public PersistTarget {
  public:
@@ -110,13 +109,6 @@ class SingleLevelStore : public PersistTarget {
   // Boot: restores the complete system state into `kernel`. Returns
   // kNotFound on an unformatted disk.
   Status Recover(Kernel* kernel);
-
-  // Forces the next commit to be a full base snapshot (tests/benches: e.g.
-  // making the Bε-tree engine apply staged deletes to the on-disk tree).
-  void DemandBase() {
-    MutexLock lock(&mu_);
-    need_base_ = true;
-  }
 
   // Introspection for tests/benches. Locked: a bench thread may poll these
   // while syscall threads drive commits (they used to read the fields bare —
@@ -155,26 +147,10 @@ class SingleLevelStore : public PersistTarget {
     return label_table_.size();
   }
   // Times the chain hit superblock capacity and the oldest increments were
-  // merged into one (satellite of the Bε-tree PR; see FoldChain).
+  // merged into one (see FoldChain).
   uint64_t chain_folds() const {
     MutexLock lock(&mu_);
     return chain_folds_;
-  }
-  EngineKind engine_kind() const {
-    MutexLock lock(&mu_);
-    return engine_->kind();
-  }
-  const char* engine_name() const {
-    MutexLock lock(&mu_);
-    return engine_->name();
-  }
-  // The engine itself (tests: e.g. downcasting to BetreeEngine for tree
-  // introspection). Owned by the store; may be replaced by Recover — callers
-  // use this single-threaded, between operations, which is why handing the
-  // raw pointer out of the lock scope is tolerable here.
-  StoreEngine* engine() {
-    MutexLock lock(&mu_);
-    return engine_.get();
   }
   // Shape of the most recent commit point (checkpoint, log apply, or large
   // sync): was it a base, how many object images did it write, how big was
@@ -199,6 +175,10 @@ class SingleLevelStore : public PersistTarget {
   // Superblock chain capacity: one base + up to kMaxChain-1 increments.
   static constexpr size_t kMaxChain = 48;
   static constexpr size_t kLogHeaderWords = 5;  // magic, seq, id, len, meta_len
+  // The section header's engine byte. Only the blob layout exists; disks
+  // from the two-engine era may carry 1 (a Bε-tree chain), which recovery
+  // rejects as kCorrupt.
+  static constexpr uint8_t kBlobEngine = 0;
 
   struct Superblock {
     uint64_t magic = 0;
@@ -212,7 +192,20 @@ class SingleLevelStore : public PersistTarget {
   };
   static_assert(sizeof(Superblock) <= 4096, "superblock must fit its slot");
 
-  static uint64_t Checksum(const void* data, size_t len);
+  // One object's home image: where it lives and how much of the blob the
+  // checksum covers (segment payload past meta_len is excluded — see
+  // ObjectImage in kernel.h).
+  struct ObjRecord {
+    Extent extent;
+    uint64_t meta_len = 0;
+  };
+
+  // A section body (docs/persistence.md): u32 count + object-map records,
+  // then u32 count + dead ids. ParseBody feeds each record and dead id to
+  // its callbacks in order; false on a malformed body.
+  static void PutRecord(std::vector<uint8_t>* out, uint64_t id, const ObjRecord& rec);
+  template <typename OnRecord, typename OnDead>
+  static bool ParseBody(storewire::Reader* r, OnRecord&& on_record, OnDead&& on_dead);
 
   // mu_ held for all of these. The public entry points above are thin
   // wrappers: take mu_, call the *Locked body, and catch std::bad_alloc
@@ -229,10 +222,14 @@ class SingleLevelStore : public PersistTarget {
   Status RecoverLocked(Kernel* kernel) REQUIRES(mu_);
   Status WriteSuperblock() REQUIRES(mu_);
   Status ReadSuperblocks(Superblock* out) REQUIRES(mu_);
+  // Shadow-writes one object image to a fresh extent and points the object
+  // map at it; the superseded extent joins pending_frees_.
+  Status WriteObject(ObjectId id, const std::vector<uint8_t>& bytes, uint64_t meta_len)
+      REQUIRES(mu_);
   // The single commit point: writes one checkpoint section (base if the
-  // chain is empty, a base was demanded, or the engine wants one; else an
-  // increment whose body the engine emits), flushes, flips the superblock,
-  // then releases superseded extents. Advances epoch_.
+  // chain is empty or a base is due; else an increment carrying this
+  // epoch's map records and dead ids), flushes, flips the superblock, then
+  // releases superseded extents. Advances epoch_.
   Status CommitSection(const std::vector<LabelTableRecord>* label_delta)
       REQUIRES(mu_);
   // Chain at superblock capacity but no base due: merge the oldest half of
@@ -252,9 +249,11 @@ class SingleLevelStore : public PersistTarget {
   mutable Mutex mu_;
 
   ExtentAllocator alloc_ GUARDED_BY(mu_);
-  // Object placement + section bodies (engine.h). Recovery may replace this
-  // with the engine the disk was actually written with.
-  std::unique_ptr<StoreEngine> engine_ GUARDED_BY(mu_);
+  // The object map: id → home extent (paper §4).
+  BPlusTree<uint64_t, ObjRecord> objmap_ GUARDED_BY(mu_);
+  // Object-map changes since the last committed section (increment records).
+  std::vector<uint64_t> pending_updates_ GUARDED_BY(mu_);
+  std::vector<uint64_t> pending_deads_ GUARDED_BY(mu_);
   ObjectId root_ GUARDED_BY(mu_) = kInvalidObject;
   uint64_t generation_ GUARDED_BY(mu_) = 0;
   bool which_sb_ GUARDED_BY(mu_) = false;  // slot to write next

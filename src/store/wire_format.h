@@ -1,8 +1,7 @@
-// Little-endian wire primitives shared by the store's on-disk formats:
-// checkpoint sections (single_level_store.cc), engine section bodies
-// (engine.cc), Bε-tree messages and nodes (msg.h, betree.cc). The kernel's
-// blob serializer (kernel_persist.cc) keeps its own copy on purpose — the
-// two formats are independent and must stay independently evolvable.
+// Little-endian wire primitives for the store's on-disk checkpoint sections
+// (single_level_store.cc). The kernel's blob serializer (kernel_persist.cc)
+// keeps its own copy on purpose — the two formats are independent and must
+// stay independently evolvable.
 #ifndef SRC_STORE_WIRE_FORMAT_H_
 #define SRC_STORE_WIRE_FORMAT_H_
 

@@ -244,7 +244,7 @@ TEST(Recorder, StoreHistogramAndEventAgree) {
   uint64_t before[kHistBuckets] = {};
   SumStoreHist(StoreOp::kSyncPages, before);
   RecordStoreOp(StoreOp::kSyncPages, /*status=*/0, /*dur_ns=*/600, /*bytes=*/8192,
-                /*write_ops=*/2, /*engine_kind=*/1);
+                /*write_ops=*/2);
   uint64_t after[kHistBuckets] = {};
   SumStoreHist(StoreOp::kSyncPages, after);
   EXPECT_EQ(after[HistBucket(600)] - before[HistBucket(600)], 1u);

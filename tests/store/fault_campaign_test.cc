@@ -1,10 +1,8 @@
 // Randomized fault-injection campaign (PR 7 tentpole).
 //
 // Drives seeded multi-crash schedules against the single-level store across
-// base checkpoints, increments, WAL appends, and base rollovers, on four
-// workloads (dirty-heavy, label-churn, ring-driven, and betree-heavy — the
-// Bε-tree engine under a toy geometry so faults race message flushes, node
-// splits, and torn interior-node writes). Each round mutates the
+// base checkpoints, increments, WAL appends, and base rollovers, on three
+// workloads (dirty-heavy, label-churn, ring-driven). Each round mutates the
 // live kernel, arms one fault from the DiskModel FaultPlan / StoreAlloc
 // repertoire (torn write, misdirected write, read error, write error, bit
 // flip, full-device crash, allocation failure — or none), syncs, then boots
@@ -22,7 +20,7 @@
 //
 // Reproducibility: every schedule is driven by one uint64 seed printed on
 // failure as "FAULT_SEED=<seed> (workload <name>)". Environment knobs:
-//   FAULT_SCHEDULES   schedules per workload (default 70 → 280 total)
+//   FAULT_SCHEDULES   schedules per workload (default 70 → 210 total)
 //   FAULT_SEED        replay exactly one seed on every workload
 #include <gtest/gtest.h>
 
@@ -41,25 +39,13 @@
 namespace histar {
 namespace {
 
-enum class Workload { kDirtyHeavy, kLabelChurn, kRingDriven, kBetreeHeavy };
+enum class Workload { kDirtyHeavy, kLabelChurn, kRingDriven };
 
-StoreTuning CampaignTuning(Workload w) {
+StoreTuning CampaignTuning() {
   StoreTuning t;
   t.log_region_bytes = 1 << 20;
   t.log_apply_threshold = 8;   // low, so WAL folds commit mid-schedule
   t.max_increments = 3;        // low, so schedules cross base rollovers
-  if (w == Workload::kBetreeHeavy) {
-    // The Bε-tree engine with a toy geometry: a ~1 kB root buffer makes
-    // nearly every sync a base flush (message injection, interior-buffer
-    // overflow pushes, leaf splits, the arena node write), so the armed
-    // faults race real tree writes — torn interior nodes included — not
-    // just section/superblock traffic.
-    t.engine = EngineKind::kBetree;
-    t.betree.node_bytes = 1024;
-    t.betree.buffer_bytes = 512;
-    t.betree.root_buffer_bytes = 1024;
-    t.betree.fanout = 4;
-  }
   return t;
 }
 
@@ -68,7 +54,6 @@ const char* WorkloadName(Workload w) {
     case Workload::kDirtyHeavy: return "dirty-heavy";
     case Workload::kLabelChurn: return "label-churn";
     case Workload::kRingDriven: return "ring-driven";
-    case Workload::kBetreeHeavy: return "betree-heavy";
   }
   return "?";
 }
@@ -102,7 +87,7 @@ struct CampaignStats {
 class Schedule {
  public:
   Schedule(Workload w, uint64_t seed, CampaignStats* stats)
-      : workload_(w), seed_(seed), rng_(seed), stats_(stats), tuning_(CampaignTuning(w)) {
+      : workload_(w), seed_(seed), rng_(seed), stats_(stats), tuning_(CampaignTuning()) {
     DiskGeometry g;
     g.capacity_bytes = 64 << 20;
     g.zero_latency = true;
@@ -221,28 +206,6 @@ class Schedule {
           if (rng_() % 3 != 0) continue;
           uint64_t stamp = rng_();
           (void)kernel_->sys_segment_write(init_, RootEntry(s), &stamp, 0, 8);
-        }
-        break;
-      }
-      case Workload::kBetreeHeavy: {
-        // Touch every segment with multi-word writes so the staged message
-        // batch overflows the toy root buffer almost every sync, and churn
-        // the live set so tombstone messages and splits ride the flushes.
-        int creates = static_cast<int>(rng_() % 3);
-        for (int i = 0; i < creates; ++i) {
-          NewSegment(Label(), 128 + (rng_() % 4) * 64);
-        }
-        if (segs_.size() > 6 && rng_() % 3 == 0) {
-          size_t victim = rng_() % segs_.size();
-          if (kernel_->sys_container_unref(init_, RootEntry(segs_[victim])) == Status::kOk) {
-            segs_.erase(segs_.begin() + static_cast<long>(victim));
-          }
-        }
-        for (ObjectId s : segs_) {
-          if (rng_() % 5 == 0) continue;
-          uint64_t stamp[4] = {rng_(), rng_(), rng_(), rng_()};
-          (void)kernel_->sys_segment_write(init_, RootEntry(s), stamp, (rng_() % 3) * 32,
-                                           sizeof(stamp));
         }
         break;
       }
@@ -502,8 +465,7 @@ TEST(FaultCampaign, RandomizedSchedulesRecoverConsistently) {
   const uint64_t replay_seed = EnvU64("FAULT_SEED", 0);
   const uint64_t per_workload = replay_seed != 0 ? 1 : EnvU64("FAULT_SCHEDULES", 70);
 
-  for (Workload w : {Workload::kDirtyHeavy, Workload::kLabelChurn, Workload::kRingDriven,
-                     Workload::kBetreeHeavy}) {
+  for (Workload w : {Workload::kDirtyHeavy, Workload::kLabelChurn, Workload::kRingDriven}) {
     for (uint64_t i = 0; i < per_workload; ++i) {
       // Seed derivation is stable so any schedule replays from its printed
       // seed alone (plus the workload, also printed).

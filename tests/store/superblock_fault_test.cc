@@ -6,6 +6,7 @@
 // abort or a fabricated world.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/store/single_level_store.h"
@@ -251,6 +252,35 @@ TEST_F(SuperblockFaultTest, FailedFlipRetriesSameSlotSoSecondFaultCannotWipeNewe
   ASSERT_EQ(r.status, Status::kOk);
   EXPECT_EQ(WorldImage(*r.kernel), committed)
       << "a faulted retry reached (and destroyed) the newest durable superblock";
+}
+
+// The section header's engine byte must be 0 (the blob layout). A base
+// section carrying 1 — a chain written by the retired Bε-tree engine — is
+// rejected as kCorrupt even with a valid section checksum. The body is
+// zeroed so it would parse under either layout (no labels, no map records;
+// for a Bε-tree, an empty tree's zero root pointer): only the engine byte
+// can reject it.
+TEST_F(SuperblockFaultTest, NonZeroEngineByteInBaseSectionIsCorrupt) {
+  ObjectId seg = MakeSegment(Label(), 64);
+  CommitStamp(seg, 1);
+
+  // Superblock words 5..7: chain_len, then the base section's (offset, length).
+  uint64_t chain[3] = {};
+  ASSERT_EQ(disk_->Read(NewerSlot() + 40, chain, sizeof(chain)), Status::kOk);
+  ASSERT_EQ(chain[0], 1u);
+  std::vector<uint8_t> image(chain[2]);
+  ASSERT_EQ(disk_->Read(chain[1], image.data(), image.size()), Status::kOk);
+  // Section header: u64 magic, u64 epoch, u8 kind, u8 engine; the checksum
+  // over everything before it is the trailing word.
+  ASSERT_EQ(image[17], 0);
+  std::fill(image.begin() + 17, image.end(), 0);
+  image[17] = 1;
+  uint64_t csum = StoreChecksum(image.data(), image.size() - 8);
+  memcpy(image.data() + image.size() - 8, &csum, 8);
+  ASSERT_EQ(disk_->Write(chain[1], image.data(), image.size()), Status::kOk);
+
+  RebootResult r = RebootFromDisk(disk_.get(), SbTuning());
+  EXPECT_EQ(r.status, Status::kCorrupt);
 }
 
 }  // namespace
