@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/core/label_memo.h"
-#include "src/kernel/ring.h"
 #include "src/kernel/thread_runner.h"
 #include "src/unixlib/mutex.h"
 
@@ -26,6 +25,9 @@ constexpr uint64_t kSocketSegBytes = kOffRxData + kRingBytes;
 constexpr uint64_t kFlagEstablished = 1;
 constexpr uint64_t kFlagPeerClosed = 2;
 constexpr uint64_t kFlagLocalClosed = 4;
+// The rx ring is full and netd still holds bytes for it: a reader that
+// sees this crosses the ctl gate to refill the ring.
+constexpr uint64_t kFlagStaged = 8;
 
 // Stream protocol message types.
 constexpr uint8_t kMsgSyn = 1;
@@ -34,15 +36,28 @@ constexpr uint8_t kMsgData = 3;
 constexpr uint8_t kMsgFin = 4;
 constexpr uint16_t kMss = 1400;
 
+// Control-gate ops (request word 0).
+constexpr uint64_t kOpListen = 1;
+constexpr uint64_t kOpAccept = 2;
+constexpr uint64_t kOpConnect = 3;
+constexpr uint64_t kOpClose = 4;
+constexpr uint64_t kOpFlush = 5;
+
+// A SYN that reaches a port before its Listen is dropped, so Connect
+// resends it every kSynRetry until the SYN-ACK, for kSynAttempts tries
+// (about 2 s in all).
+constexpr auto kSynRetry = std::chrono::milliseconds(25);
+constexpr int kSynAttempts = 80;
+
 // Stream header after the 14-byte frame header:
 // [type u8][sport u16][dport u16][len u16] = 7 bytes.
 constexpr size_t kStreamHeader = 7;
 
-// Staging-slot layout inside rxbuf_seg_ (see netd.h): receive burst slots,
-// then transmit burst slots, then the synchronous control slot.
-constexpr uint64_t kTxSlot0 = uint64_t{kNetRxBurst} * kNetFrameMax;
-constexpr uint64_t kCtlSlot = kTxSlot0 + uint64_t{kNetTxBurst} * kNetFrameMax;
-constexpr uint64_t kStagingBytes = kCtlSlot + kNetFrameMax;
+// Staging-slot layout inside rxbuf_seg_ (see netd.h): the pump's receive
+// slot, then the transmit slot.
+constexpr uint64_t kRxSlot = 0;
+constexpr uint64_t kTxSlot = kNetFrameMax;
+constexpr uint64_t kStagingBytes = 2 * kNetFrameMax;
 
 uint64_t PackMac(const MacAddr& m) {
   uint64_t v = 0;
@@ -102,75 +117,6 @@ Status RingGet(Kernel* k, ObjectId self, ContainerEntry seg, uint64_t base, uint
 
 }  // namespace
 
-int RingDrainNic(Kernel* kernel, ObjectId self, ContainerEntry ring, ContainerEntry dev,
-                 ContainerEntry staging, uint64_t slot0_off, uint32_t burst,
-                 std::vector<uint8_t>* scratch,
-                 const std::function<void(std::vector<uint8_t>&&)>& fn) {
-  // ONE submission: `burst` independent [receive →link→ read] chains. The
-  // NetReceiveRes length flows into the linked SegmentReadReq (RingSlot
-  // routing), and an empty NIC (kAgain) cancels just that chain's read.
-  std::vector<RingOp> ops;
-  ops.reserve(2 * burst);
-  for (uint32_t slot = 0; slot < burst; ++slot) {
-    uint64_t off = slot0_off + uint64_t{slot} * kNetFrameMax;
-    ops.push_back(
-        RingOp{SyscallReq{NetReceiveReq{dev, staging, off, kNetFrameMax}}, kRingLinked});
-    ops.push_back(RingOp{SyscallReq{SegmentReadReq{staging, scratch->data() +
-                                                                (slot * kNetFrameMax),
-                                                   off, 0}},
-                         0, RingSlot::kLen, RingSlot::kLen});
-  }
-  Result<uint64_t> ticket = kernel->sys_ring_submit(self, ring, std::move(ops));
-  if (!ticket.ok()) {
-    return -1;
-  }
-  // Every op in the burst is non-blocking (NetReceive polls, never sleeps),
-  // so completion is prompt; wait indefinitely rather than invent a timeout
-  // that could strand unreaped completions. kHalted/kNotFound are only
-  // reported once no worker holds this burst's buffers (the kernel's
-  // executing-drain), so abandoning on them is safe.
-  if (RingWaitInterruptible(kernel, self, ring, ticket.value()) != Status::kOk) {
-    kernel->sys_ring_reap(self, ring, 0);  // free capacity; frames drop
-    return -1;  // halted / ring destroyed: caller falls back
-  }
-  Result<std::vector<RingCompletion>> done = kernel->sys_ring_reap(self, ring, 0);
-  if (!done.ok()) {
-    return -1;
-  }
-  // Pair completions by SEQ, never by position: an earlier abandoned
-  // burst's late-published completions can sit at the front of the CQ, and
-  // positional pairing would apply their lengths to staging slots the new
-  // burst has since overwritten. Seqs outside this burst's range are
-  // discarded outright.
-  int frames = 0;
-  const uint64_t nops = 2 * uint64_t{burst};
-  const uint64_t first = ticket.value() - nops + 1;
-  std::vector<const SyscallRes*> by_op(nops, nullptr);
-  for (const RingCompletion& c : done.value()) {
-    if (c.seq >= first && c.seq - first < nops) {
-      by_op[static_cast<size_t>(c.seq - first)] = &c.res;
-    }
-  }
-  for (uint32_t slot = 0; slot < burst; ++slot) {
-    const SyscallRes* rres = by_op[2 * slot];
-    const SyscallRes* dres = by_op[2 * slot + 1];
-    if (rres == nullptr || dres == nullptr) {
-      continue;
-    }
-    const NetReceiveRes* rcv = std::get_if<NetReceiveRes>(rres);
-    if (rcv == nullptr || rcv->status != Status::kOk) {
-      continue;  // kAgain (empty NIC) — the linked read completed kCancelled
-    }
-    if (ResStatus(*dres) != Status::kOk || rcv->len > kNetFrameMax) {
-      continue;
-    }
-    const uint8_t* base = scratch->data() + uint64_t{slot} * kNetFrameMax;
-    fn(std::vector<uint8_t>(base, base + rcv->len));
-    ++frames;
-  }
-  return frames;
-}
-
 Mutex NetDaemon::registry_mu_;
 std::map<uint64_t, NetDaemon*> NetDaemon::registry_;
 uint64_t NetDaemon::next_registry_id_ = 1;
@@ -183,6 +129,7 @@ struct NetDaemon::Socket {
   MacAddr peer{};
   ObjectId seg = kInvalidObject;  // shared ring segment (in netd's proc ct)
   std::deque<std::pair<MacAddr, uint16_t>> backlog;  // pending SYNs
+  uint64_t flags = 0;  // mirror of the segment's flags word (WriteFlags)
   std::deque<uint8_t> rx_staging;  // overflow when the rx ring is full
   bool fin_pending = false;  // FIN seen while staging still holds data
   CondVar cv;  // state changes (connect/accept); waits on NetDaemon::mu_
@@ -211,9 +158,7 @@ void NetdCtlEntry(GateCall& call) {
 std::unique_ptr<NetDaemon> NetDaemon::Start(UnixWorld* world, SimNetPort* port,
                                             const std::string& name, const NetTaint* taint) {
   auto d = std::unique_ptr<NetDaemon>(new NetDaemon());
-  d->world_ = world;
   d->kernel_ = world->kernel();
-  d->port_ = port;
   d->mac_ = port->MacAddress();
   Kernel* k = d->kernel_;
   ObjectId boot = world->init_thread();
@@ -244,11 +189,9 @@ std::unique_ptr<NetDaemon> NetDaemon::Start(UnixWorld* world, SimNetPort* port,
     return nullptr;
   }
   d->ids_ = ids.value();
-  d->pump_thread_ = d->ids_.thread;
 
-  // Device frame staging, labeled like the device: receive-burst slots for
-  // the pump's ring submissions, transmit-burst slots, and the control slot
-  // (layout in netd.h).
+  // Device frame staging, labeled like the device: the pump's receive slot
+  // and the transmit slot (layout in netd.h).
   CreateSpec rspec;
   rspec.container = d->ids_.proc_ct;
   rspec.label = dev_label;
@@ -259,21 +202,6 @@ std::unique_ptr<NetDaemon> NetDaemon::Start(UnixWorld* world, SimNetPort* port,
     return nullptr;
   }
   d->rxbuf_seg_ = rxbuf.value();
-
-  // The netd submission ring ({i2,1}, like the socket segments): the pump
-  // and the mu_-held control path push NIC bursts through it so the
-  // device's unlocked phases run on kernel workers. Creation failing is not
-  // fatal — every ring user falls back to the per-call path.
-  CreateSpec qspec;
-  qspec.container = d->ids_.proc_ct;
-  qspec.label = Label(Level::k1, {{d->taint_.i, Level::k2}});
-  qspec.descrip = "netd-rx-ring";
-  qspec.quota = 16 * kPageSize;
-  Result<ObjectId> rx_ring = k->sys_ring_create(boot, qspec, 4 * kNetRxBurst);
-  d->ring_ = rx_ring.ok() ? rx_ring.value() : kInvalidObject;
-  qspec.descrip = "netd-tx-ring";
-  Result<ObjectId> tx_ring = k->sys_ring_create(boot, qspec, 4 * kNetTxBurst);
-  d->ring_tx_ = tx_ring.ok() ? tx_ring.value() : kInvalidObject;
 
   // Control gate.
   {
@@ -322,9 +250,8 @@ void NetDaemon::Stop() {
 
 // ---- control path ---------------------------------------------------------------
 
-Result<uint64_t> NetDaemon::MakeSocketWithSegment() {
+Result<uint64_t> NetDaemon::MakeSocketWithSegment(ObjectId self) {
   // Runs on a thread holding netd's pw* (gate-granted) and i2 taint.
-  ObjectId self = CurrentThread::Get();
   Label seg_label(Level::k1, {{taint_.i, Level::k2}});
   CreateSpec spec;
   spec.container = ids_.proc_ct;
@@ -345,8 +272,8 @@ Result<uint64_t> NetDaemon::MakeSocketWithSegment() {
 uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, uint64_t c) {
   MutexLock lock(&mu_);
   switch (op) {
-    case 1: {  // Listen(port)
-      Result<uint64_t> sock = MakeSocketWithSegment();
+    case kOpListen: {  // (port)
+      Result<uint64_t> sock = MakeSocketWithSegment(self);
       if (!sock.ok()) {
         return 0;
       }
@@ -355,7 +282,7 @@ uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, ui
       s->local_port = static_cast<uint16_t>(a);
       return sock.value();
     }
-    case 2: {  // Accept(listen_sock, timeout_ms)
+    case kOpAccept: {  // (listen_sock, timeout_ms)
       auto it = sockets_.find(a);
       if (it == sockets_.end() || it->second->state != Socket::State::kListening) {
         return 0;
@@ -367,7 +294,7 @@ uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, ui
       }
       auto [peer, peer_port] = ls->backlog.front();
       ls->backlog.pop_front();
-      Result<uint64_t> sock = MakeSocketWithSegment();
+      Result<uint64_t> sock = MakeSocketWithSegment(self);
       if (!sock.ok()) {
         return 0;
       }
@@ -376,14 +303,12 @@ uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, ui
       s->local_port = ls->local_port;
       s->peer = peer;
       s->peer_port = peer_port;
-      ContainerEntry seg{ids_.proc_ct, s->seg};
-      WriteWord(kernel_, self, seg, kOffFlags,
-                ReadWord(kernel_, self, seg, kOffFlags) | kFlagEstablished);
-      SendFrame(peer, kMsgSynAck, s->local_port, peer_port, nullptr, 0);
+      WriteFlags(self, s, s->flags | kFlagEstablished);
+      SendFrame(self, peer, kMsgSynAck, s->local_port, peer_port, nullptr, 0);
       return sock.value();
     }
-    case 3: {  // Connect(packed_mac, port)
-      Result<uint64_t> sock = MakeSocketWithSegment();
+    case kOpConnect: {  // (packed_mac, port)
+      Result<uint64_t> sock = MakeSocketWithSegment(self);
       if (!sock.ok()) {
         return 0;
       }
@@ -392,33 +317,47 @@ uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, ui
       s->peer = UnpackMac(a);
       s->peer_port = static_cast<uint16_t>(b);
       s->local_port = static_cast<uint16_t>(40000 + next_sock_);
-      SendFrame(s->peer, kMsgSyn, s->local_port, s->peer_port, nullptr, 0);
-      if (!s->cv.WaitFor(mu_, std::chrono::milliseconds(2000), [s] {
-            return s->state == Socket::State::kEstablished;
-          })) {
+      auto established = [s] { return s->state == Socket::State::kEstablished; };
+      for (int attempt = 0; attempt < kSynAttempts && !established(); ++attempt) {
+        SendFrame(self, s->peer, kMsgSyn, s->local_port, s->peer_port, nullptr, 0);
+        s->cv.WaitFor(mu_, kSynRetry, established);
+      }
+      if (!established()) {
+        s->state = Socket::State::kClosed;
         return 0;
       }
-      ContainerEntry seg{ids_.proc_ct, s->seg};
       // OR, don't overwrite: a fast peer may have already FIN'd.
-      WriteWord(kernel_, self, seg, kOffFlags,
-                ReadWord(kernel_, self, seg, kOffFlags) | kFlagEstablished);
+      WriteFlags(self, s, s->flags | kFlagEstablished);
       return sock.value();
     }
-    case 4: {  // Close(sock)
-      auto it = sockets_.find(a);
-      if (it == sockets_.end()) {
+    case kOpClose: {  // (sock)
+      Result<Socket*> found = FindSocket(a);
+      if (!found.ok()) {
         return 0;
       }
-      Socket* s = it->second.get();
+      Socket* s = found.value();
+      // The flag write doubles as the label check: a caller that cannot
+      // modify the socket cannot close it either.
+      if (!WriteFlags(self, s, s->flags | kFlagLocalClosed)) {
+        return 0;
+      }
       if (s->state == Socket::State::kEstablished) {
         // Flush bytes still queued in the tx ring before the FIN — else the
         // FIN overtakes them on the wire and the peer sees a truncated
         // stream (a send-close immediately after a large send is the common
         // pattern: ServeDbOnce, HTTP responses).
-        DrainTx(s);
-        SendFrame(s->peer, kMsgFin, s->local_port, s->peer_port, nullptr, 0);
+        DrainTx(self, s);
+        SendFrame(self, s->peer, kMsgFin, s->local_port, s->peer_port, nullptr, 0);
       }
       s->state = Socket::State::kClosed;
+      return 1;
+    }
+    case kOpFlush: {  // (sock)
+      Result<Socket*> found = FindSocket(a);
+      if (!found.ok()) {
+        return 0;
+      }
+      DrainTx(self, found.value());
       return 1;
     }
     default:
@@ -465,23 +404,29 @@ Result<uint64_t> CtlCall(Kernel* k, ObjectId self, ContainerEntry gate, uint64_t
 }  // namespace
 
 Result<uint64_t> NetDaemon::Listen(ObjectId self, uint16_t port) {
-  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, 1, port, 0, 0);
+  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpListen, port, 0, 0);
 }
 
 Result<uint64_t> NetDaemon::Accept(ObjectId self, uint64_t listen_sock, uint32_t timeout_ms) {
-  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, 2, listen_sock,
+  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpAccept, listen_sock,
                  timeout_ms, 0);
 }
 
 Result<uint64_t> NetDaemon::Connect(ObjectId self, MacAddr dst, uint16_t port) {
-  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, 3, PackMac(dst), port,
-                 0);
+  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpConnect,
+                 PackMac(dst), port, 0);
 }
 
 Status NetDaemon::CloseSocket(ObjectId self, uint64_t sock) {
   Result<uint64_t> r =
-      CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, 4, sock, 0, 0);
+      CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpClose, sock, 0, 0);
   return r.ok() ? Status::kOk : r.status();
+}
+
+void NetDaemon::Flush(ObjectId self, uint64_t sock) {
+  // A failed crossing leaves the bytes where they are; the pump's fallback
+  // sweep still moves them.
+  (void)CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpFlush, sock, 0, 0);
 }
 
 Result<ContainerEntry> NetDaemon::SocketSegment(uint64_t sock) {
@@ -525,7 +470,8 @@ Result<uint64_t> NetDaemon::Send(ObjectId self, uint64_t sock, const void* buf, 
       WriteWord(kernel_, self, seg.value(), kOffTxW, txw + n);
       sent += n;
       mu.Unlock(self);
-      kernel_->sys_futex_wake(self, seg.value(), kOffTxW, UINT32_MAX);
+      // Put the bytes on the wire from this thread, through the ctl gate.
+      Flush(self, sock);
       continue;
     }
     uint64_t seen = txr;
@@ -544,13 +490,17 @@ Result<uint64_t> NetDaemon::Recv(ObjectId self, uint64_t sock, void* buf, uint64
   uint8_t* dst = static_cast<uint8_t*>(buf);
   SegmentMutex mu(kernel_, seg.value(), kOffMutex);
   uint32_t waited = 0;
+  bool refilled = false;  // one refill attempt per wait, so a refill that
+                          // cannot move bytes never spins
   for (;;) {
     if (!mu.Lock(self)) {
       return Status::kLabelCheckFailed;
     }
+    // Flags first: netd publishes rxw before it raises PeerClosed, so an
+    // EOF seen here cannot hide bytes published after the rxw read.
+    uint64_t flags = ReadWord(kernel_, self, seg.value(), kOffFlags);
     uint64_t rxr = ReadWord(kernel_, self, seg.value(), kOffRxR);
     uint64_t rxw = ReadWord(kernel_, self, seg.value(), kOffRxW);
-    uint64_t flags = ReadWord(kernel_, self, seg.value(), kOffFlags);
     uint64_t avail = rxw - rxr;
     if (avail > 0) {
       uint64_t n = std::min(len, avail);
@@ -561,19 +511,25 @@ Result<uint64_t> NetDaemon::Recv(ObjectId self, uint64_t sock, void* buf, uint64
       }
       WriteWord(kernel_, self, seg.value(), kOffRxR, rxr + n);
       mu.Unlock(self);
-      kernel_->sys_futex_wake(self, seg.value(), kOffRxR, UINT32_MAX);
+      if ((flags & kFlagStaged) != 0) {
+        Flush(self, sock);  // refill the space just freed
+      }
       return n;
     }
+    mu.Unlock(self);
     if ((flags & kFlagPeerClosed) != 0) {
-      mu.Unlock(self);
       return uint64_t{0};  // orderly EOF
     }
-    uint64_t seen = rxw;
-    mu.Unlock(self);
-    Status ws = kernel_->sys_futex_wait(self, seg.value(), kOffRxW, seen, 50);
+    if ((flags & kFlagStaged) != 0 && !refilled) {
+      refilled = true;
+      Flush(self, sock);
+      continue;
+    }
+    Status ws = kernel_->sys_futex_wait(self, seg.value(), kOffRxW, rxw, 50);
     if (ws == Status::kHalted || ws == Status::kLabelCheckFailed) {
       return ws;
     }
+    refilled = false;
     waited += 50;
     if (waited >= timeout_ms) {
       return Status::kTimedOut;
@@ -601,93 +557,33 @@ std::vector<uint8_t> NetDaemon::BuildFrame(const MacAddr& dst, uint8_t type, uin
   return frame;
 }
 
-bool NetDaemon::SendFrame(const MacAddr& dst, uint8_t type, uint16_t sport, uint16_t dport,
-                          const uint8_t* data, uint16_t len) {
-  // Compose the frame in the staging segment's control slot (mu_-held
-  // callers only — never a slot a ring burst could be filling), transmit.
-  ObjectId self = CurrentThread::Get();
+bool NetDaemon::SendFrame(ObjectId self, const MacAddr& dst, uint8_t type, uint16_t sport,
+                          uint16_t dport, const uint8_t* data, uint16_t len) {
+  // Compose the frame in the staging segment's transmit slot (mu_-held
+  // callers only), transmit.
   std::vector<uint8_t> frame = BuildFrame(dst, type, sport, dport, data, len);
   ContainerEntry rx{ids_.proc_ct, rxbuf_seg_};
-  Status st = kernel_->sys_segment_write(self, rx, frame.data(), kCtlSlot, frame.size());
+  Status st = kernel_->sys_segment_write(self, rx, frame.data(), kTxSlot, frame.size());
   if (st != Status::kOk) {
     return false;
   }
-  st = kernel_->sys_net_transmit(self, ContainerEntry{kernel_->root_container(), device_}, rx,
-                                 kCtlSlot, frame.size());
-  if (st == Status::kOk) {
-    frames_sent_.fetch_add(1);
+  return kernel_->sys_net_transmit(self, ContainerEntry{kernel_->root_container(), device_}, rx,
+                                   kTxSlot, frame.size()) == Status::kOk;
+}
+
+bool NetDaemon::WriteFlags(ObjectId self, Socket* s, uint64_t flags) {
+  if (flags == s->flags) {
     return true;
   }
-  return false;
+  if (kernel_->sys_segment_write(self, ContainerEntry{ids_.proc_ct, s->seg}, &flags, kOffFlags,
+                                 8) != Status::kOk) {
+    return false;
+  }
+  s->flags = flags;
+  return true;
 }
 
-uint64_t NetDaemon::RingSendBurst(ObjectId self, Socket* s, uint64_t txr, uint64_t txw,
-                                  ContainerEntry seg) {
-  // Gather up to kNetTxBurst MSS-sized data frames out of the socket's tx
-  // ring, then push them through the submission ring as ONE chain of
-  // [stage-write →link→ net_transmit] pairs, every op linked to the next:
-  // the first failed transmit (NIC ring full) cancels all later frames, so
-  // bytes leave the wire strictly in stream order — the same stop-at-first-
-  // failure the per-call loop had, minus 2×frames synchronous syscalls.
-  ContainerEntry rx{ids_.proc_ct, rxbuf_seg_};
-  ContainerEntry dev{kernel_->root_container(), device_};
-  std::vector<std::vector<uint8_t>> frames;  // stable until reaped
-  std::vector<uint64_t> payload(kNetTxBurst, 0);
-  uint64_t cursor = txr;
-  while (cursor < txw && frames.size() < kNetTxBurst) {
-    uint16_t n = static_cast<uint16_t>(std::min<uint64_t>(txw - cursor, kMss));
-    uint8_t chunk[kMss];
-    if (RingGet(kernel_, self, seg, kOffTxData, cursor, chunk, n) != Status::kOk) {
-      break;
-    }
-    payload[frames.size()] = n;
-    frames.push_back(BuildFrame(s->peer, kMsgData, s->local_port, s->peer_port, chunk, n));
-    cursor += n;
-  }
-  if (frames.empty()) {
-    return 0;
-  }
-  std::vector<RingOp> ops;
-  ops.reserve(2 * frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    uint64_t off = kTxSlot0 + i * kNetFrameMax;
-    ops.push_back(RingOp{
-        SyscallReq{SegmentWriteReq{rx, frames[i].data(), off, frames[i].size()}},
-        kRingLinked});
-    uint32_t link = i + 1 < frames.size() ? kRingLinked : 0;
-    ops.push_back(
-        RingOp{SyscallReq{NetTransmitReq{dev, rx, off, frames[i].size()}}, link});
-  }
-  ContainerEntry ringe{ids_.proc_ct, ring_tx_};
-  Result<uint64_t> ticket = kernel_->sys_ring_submit(self, ringe, std::move(ops));
-  if (!ticket.ok()) {
-    return 0;  // ring busy/unusable: caller's sync path takes over
-  }
-  // Terminal wait statuses (halted, destroyed) arrive only after the worker
-  // released our frame buffers, so reaping-and-counting below is safe
-  // either way: whatever completions survived tell us exactly which prefix
-  // reached the wire (a dead ring's dropped completions count as zero, and
-  // the halted caller's sync fallback fails its own syscalls anyway).
-  RingWaitInterruptible(kernel_, self, ringe, ticket.value());
-  Result<std::vector<RingCompletion>> done = kernel_->sys_ring_reap(self, ringe, 0);
-  if (!done.ok()) {
-    return 0;
-  }
-  // Count the prefix of fully-successful [write, transmit] pairs; the chain
-  // guarantees nothing after the first failure reached the wire.
-  uint64_t sent_bytes = 0;
-  const std::vector<RingCompletion>& cs = done.value();
-  for (size_t i = 0; i + 1 < cs.size(); i += 2) {
-    if (ResStatus(cs[i].res) != Status::kOk || ResStatus(cs[i + 1].res) != Status::kOk) {
-      break;
-    }
-    frames_sent_.fetch_add(1);
-    sent_bytes += payload[i / 2];
-  }
-  return sent_bytes;
-}
-
-void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
+void NetDaemon::HandleFrame(ObjectId self, const std::vector<uint8_t>& frame) {
   if (frame.size() < kFrameHeader + kStreamHeader) {
     return;
   }
@@ -708,14 +604,32 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
   MutexLock lock(&mu_);
   switch (type) {
     case kMsgSyn: {
+      // Connect resends its SYN until answered: queue the first copy, and
+      // ignore one whose peer is already queued or already has a socket.
+      Socket* listener = nullptr;
       for (auto& [id, s] : sockets_) {
-        if (s->state == Socket::State::kListening && s->local_port == dport) {
-          s->backlog.emplace_back(src, sport);
-          s->cv.NotifyAll();
+        if (s->local_port != dport) {
+          continue;
+        }
+        if (s->state != Socket::State::kListening) {
+          if (s->peer == src && s->peer_port == sport) {
+            return;
+          }
+        } else if (listener == nullptr) {
+          listener = s.get();
+        }
+      }
+      if (listener == nullptr) {
+        break;
+      }
+      for (const auto& [mac, port] : listener->backlog) {
+        if (mac == src && port == sport) {
           return;
         }
       }
-      break;
+      listener->backlog.emplace_back(src, sport);
+      listener->cv.NotifyAll();
+      return;
     }
     case kMsgSynAck: {
       for (auto& [id, s] : sockets_) {
@@ -740,7 +654,6 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
       break;
     }
     case kMsgFin: {
-      ObjectId self = CurrentThread::Get();
       for (auto& [id, s] : sockets_) {
         if (s->local_port == dport && s->peer_port == sport) {
           if (!s->rx_staging.empty()) {
@@ -750,10 +663,10 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
             s->fin_pending = true;
             return;
           }
-          ContainerEntry seg{ids_.proc_ct, s->seg};
-          uint64_t flags = ReadWord(kernel_, self, seg, kOffFlags);
-          WriteWord(kernel_, self, seg, kOffFlags, flags | kFlagPeerClosed);
-          kernel_->sys_futex_wake(self, seg, kOffRxW, UINT32_MAX);
+          if (WriteFlags(self, s.get(), s->flags | kFlagPeerClosed)) {
+            kernel_->sys_futex_wake(self, ContainerEntry{ids_.proc_ct, s->seg}, kOffRxW,
+                                    UINT32_MAX);
+          }
           s->cv.NotifyAll();
           return;
         }
@@ -765,39 +678,34 @@ void NetDaemon::HandleFrame(const std::vector<uint8_t>& frame) {
   }
 }
 
-void NetDaemon::DrainTx(Socket* s) {
-  // Move bytes tx-ring → wire and staging → rx-ring. Called with mu_ held.
-  ObjectId self = CurrentThread::Get();
+bool NetDaemon::DrainTx(ObjectId self, Socket* s) {
+  // Move bytes tx-ring → wire and staging → rx-ring. Called with mu_ held,
+  // by the pump or by a ctl-gate caller: every write below carries the
+  // caller's labels, so a caller tainted in a category netd does not own
+  // moves nothing.
   ContainerEntry seg{ids_.proc_ct, s->seg};
+  bool sent = false;
   if (s->state == Socket::State::kEstablished) {
     uint64_t txr = ReadWord(kernel_, self, seg, kOffTxR);
     uint64_t txw = ReadWord(kernel_, self, seg, kOffTxW);
-    // Ring path first: whole bursts of [stage →link→ transmit] pairs as one
-    // submission (the split submit/complete shape — the NIC's unlocked
-    // transmit phases run on a kernel worker). Falls through to the
-    // per-frame path when the ring is unavailable or a caller's labels
-    // cannot touch it (gate callers carrying extra taint).
-    while (ring_tx_ != kInvalidObject && txr < txw) {
-      uint64_t sent = RingSendBurst(self, s, txr, txw, seg);
-      if (sent == 0) {
-        break;
-      }
-      txr += sent;
-      WriteWord(kernel_, self, seg, kOffTxR, txr);
-      kernel_->sys_futex_wake(self, seg, kOffTxR, UINT32_MAX);
-    }
+    uint64_t start = txr;
     while (txr < txw) {
       uint16_t n = static_cast<uint16_t>(std::min<uint64_t>(txw - txr, kMss));
       uint8_t chunk[kMss];
       if (RingGet(kernel_, self, seg, kOffTxData, txr, chunk, n) != Status::kOk) {
         break;
       }
-      if (!SendFrame(s->peer, kMsgData, s->local_port, s->peer_port, chunk, n)) {
+      if (!SendFrame(self, s->peer, kMsgData, s->local_port, s->peer_port, chunk, n)) {
         break;
       }
       txr += n;
+    }
+    // Publish the read cursor and wake a sender blocked on a full ring
+    // once per drain, not once per frame.
+    if (txr != start) {
       WriteWord(kernel_, self, seg, kOffTxR, txr);
       kernel_->sys_futex_wake(self, seg, kOffTxR, UINT32_MAX);
+      sent = true;
     }
   }
   if (!s->rx_staging.empty()) {
@@ -816,66 +724,47 @@ void NetDaemon::DrainTx(Socket* s) {
       }
     }
   }
-  if (s->fin_pending && s->rx_staging.empty()) {
+  // Bytes left behind wait for the reader, who refills when it sees the
+  // flag: the pump does not poll for ring space.
+  uint64_t staged = s->rx_staging.empty() ? 0 : kFlagStaged;
+  WriteFlags(self, s, (s->flags & ~kFlagStaged) | staged);
+  if (s->fin_pending && s->rx_staging.empty() &&
+      WriteFlags(self, s, s->flags | kFlagPeerClosed)) {
     // The deferred FIN: every byte that preceded it is now in the ring.
     s->fin_pending = false;
-    uint64_t flags = ReadWord(kernel_, self, seg, kOffFlags);
-    WriteWord(kernel_, self, seg, kOffFlags, flags | kFlagPeerClosed);
     kernel_->sys_futex_wake(self, seg, kOffRxW, UINT32_MAX);
     s->cv.NotifyAll();
   }
+  return sent;
 }
 
 void NetDaemon::PumpLoop() {
   ObjectId self = ids_.thread;
   ContainerEntry dev{kernel_->root_container(), device_};
   ContainerEntry rx{ids_.proc_ct, rxbuf_seg_};
-  ContainerEntry rx_ring{ids_.proc_ct, ring_};
-  std::vector<uint8_t> scratch(uint64_t{kNetRxBurst} * kNetFrameMax);
   while (running_.load()) {
     bool idle = true;
-    // Drain the NIC — ring path: bursts of receive→read chains submitted as
-    // one unit, the length routed between the linked entries (the PR 3
-    // follow-up this PR closes: sys_net_* finally batches, through the
-    // split submit/complete path).
-    bool ring_ok = ring_ != kInvalidObject;
-    while (ring_ok) {
-      int got = RingDrainNic(kernel_, self, rx_ring, dev, rx, /*slot0_off=*/0, kNetRxBurst,
-                             &scratch, [this](std::vector<uint8_t>&& frame) {
-                               frames_received_.fetch_add(1);
-                               HandleFrame(frame);
-                             });
-      if (got < 0) {
-        ring_ok = false;  // fall back to per-call receives this iteration
-        break;
-      }
-      if (got > 0) {
-        idle = false;
-      }
-      if (got < static_cast<int>(kNetRxBurst)) {
-        break;  // NIC drained
-      }
-    }
-    while (!ring_ok) {
-      Result<uint64_t> n = kernel_->sys_net_receive(self, dev, rx, 0, kNetFrameMax);
+    // Drain the NIC into the sockets' staging queues.
+    for (;;) {
+      Result<uint64_t> n = kernel_->sys_net_receive(self, dev, rx, kRxSlot, kNetFrameMax);
       if (!n.ok()) {
         break;
       }
       std::vector<uint8_t> frame(n.value());
-      if (kernel_->sys_segment_read(self, rx, frame.data(), 0, n.value()) != Status::kOk) {
+      if (kernel_->sys_segment_read(self, rx, frame.data(), kRxSlot, n.value()) !=
+          Status::kOk) {
         break;
       }
-      frames_received_.fetch_add(1);
-      HandleFrame(frame);
+      HandleFrame(self, frame);
       idle = false;
     }
-    // Service every socket.
+    // Deliver what arrived into the rx rings. Senders flush their own tx
+    // rings through the ctl gate; this sweep only catches bytes a failed
+    // flush left behind.
     {
       MutexLock lock(&mu_);
       for (auto& [id, s] : sockets_) {
-        uint64_t before = frames_sent_.load();
-        DrainTx(s.get());
-        if (frames_sent_.load() != before || !s->rx_staging.empty()) {
+        if (DrainTx(self, s.get())) {
           idle = false;
         }
       }

@@ -8,10 +8,22 @@
 // read from the network with i.
 //
 // Two interaction paths, as in the paper:
-//  * a control gate ("netd.ctl") for socket setup — the RPC-like slow path;
+//  * a control gate ("netd.ctl") — socket setup, plus the "flush socket" op
+//    that moves a socket's bytes: tx ring → wire, and staged receive bytes →
+//    rx ring;
 //  * a per-socket *shared memory segment* (labeled {i2, 1}) with tx/rx rings
-//    and futex wakeups — the fast path the paper describes as "donating a
-//    worker thread to netd".
+//    and futex wakeups.
+//
+// netd is event-driven: each socket event is handled by the thread that
+// causes it, which is the paper's "donating a worker thread to netd". Send
+// publishes its bytes and crosses the gate to flush them itself; Recv
+// crosses it to refill the rx ring when netd has flagged staged bytes. The
+// gate runs netd code on the caller's thread with the caller's taint
+// joined in, so a caller tainted in a category netd does not own moves
+// nothing. The pump thread handles only device events: it drains the NIC
+// into the sockets, and its 5 ms device wait is a fallback sweep and
+// shutdown bound, not a clock the data path waits on. netd drives the NIC
+// with per-call syscalls only.
 //
 // Because rx data lives in {i2, 1} segments, an application must taint
 // itself i2 before it can read from a socket; an untainted process simply
@@ -35,28 +47,8 @@ namespace histar {
 // Stream protocol message types (frame proto 0x0800).
 inline constexpr uint16_t kProtoStream = 0x0800;
 
-// Frame staging geometry shared by the ring-backed NIC paths (PR 5): the
-// staging segment is carved into kNetFrameMax-byte slots so a burst of
-// receives (and a burst of transmits) each own private bytes — no frame can
-// clobber another while a submission is in flight on a kernel worker.
+// Largest frame a NIC receive stages (a kMaxFrame frame fits).
 inline constexpr uint64_t kNetFrameMax = 2048;
-inline constexpr uint32_t kNetRxBurst = 4;
-inline constexpr uint32_t kNetTxBurst = 8;
-
-// Ring-backed NIC drain, shared by netd's pump and vpnd's tunnel loop: ONE
-// ring submission of `burst` receive→read chains against `dev`, each chain
-// [net_receive into staging slot i] →link→ [segment_read slot i, the LENGTH
-// ROUTED from NetReceiveRes.len] — the split submit/complete path that
-// finally lets the NIC's unlocked poll phases run off the calling thread.
-// Staging slots start at `slot0_off` within `staging`; `scratch` must hold
-// burst * kNetFrameMax bytes and stay untouched until the call returns.
-// Invokes fn(frame) for every frame received (in order). Returns the frame
-// count, or -1 when the ring path is unusable (submission refused — the
-// caller falls back to per-call sys_net_receive).
-int RingDrainNic(Kernel* kernel, ObjectId self, ContainerEntry ring, ContainerEntry dev,
-                 ContainerEntry staging, uint64_t slot0_off, uint32_t burst,
-                 std::vector<uint8_t>* scratch,
-                 const std::function<void(std::vector<uint8_t>&&)>& fn);
 
 struct NetTaint {
   CategoryId nr = kInvalidCategory;  // device read capability
@@ -91,8 +83,10 @@ class NetDaemon {
   Result<uint64_t> Connect(ObjectId self, MacAddr dst, uint16_t port);
   Status CloseSocket(ObjectId self, uint64_t sock);
 
-  // Fast path: direct ring I/O on the socket's shared segment. The caller
-  // must be able to observe/modify {i2, 1} segments (i.e. carry i2 taint).
+  // Fast path: direct ring I/O on the socket's shared segment, plus one
+  // ctl-gate flush per Send (and per Recv that finds bytes staged). The
+  // caller must be able to observe/modify {i2, 1} segments (i.e. carry i2
+  // taint). Send fails once either end has closed.
   Result<uint64_t> Send(ObjectId self, uint64_t sock, const void* buf, uint64_t len);
   Result<uint64_t> Recv(ObjectId self, uint64_t sock, void* buf, uint64_t len,
                         uint32_t timeout_ms);
@@ -107,11 +101,6 @@ class NetDaemon {
   // Stops the pump thread (tests; destructor also does this).
   void Stop();
 
-  uint64_t frames_sent() const { return frames_sent_.load(); }
-  uint64_t frames_received() const { return frames_received_.load(); }
-  // True when the pump drives the NIC through the async ring (PR 5).
-  bool ring_enabled() const { return ring_ != kInvalidObject; }
-
  private:
   NetDaemon() = default;
 
@@ -120,49 +109,36 @@ class NetDaemon {
   // Gate entry bodies (execute with netd privilege on the caller's thread).
   friend void NetdCtlEntry(GateCall& call);
   uint64_t CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, uint64_t c);
+  // Crosses the ctl gate with the "flush socket" op.
+  void Flush(ObjectId self, uint64_t sock);
 
-  // The pump: device ⇄ socket rings.
+  // The pump: device → sockets.
   void PumpLoop();
-  void HandleFrame(const std::vector<uint8_t>& frame);
-  void DrainTx(Socket* s) REQUIRES(mu_);
-  bool SendFrame(const MacAddr& dst, uint8_t type, uint16_t sport, uint16_t dport,
-                 const uint8_t* data, uint16_t len) REQUIRES(mu_);
+  void HandleFrame(ObjectId self, const std::vector<uint8_t>& frame);
+  // Moves one socket's bytes (tx ring → wire, staging → rx ring) with the
+  // labels of `self`. Returns whether any data frame went out.
+  bool DrainTx(ObjectId self, Socket* s) REQUIRES(mu_);
+  bool SendFrame(ObjectId self, const MacAddr& dst, uint8_t type, uint16_t sport,
+                 uint16_t dport, const uint8_t* data, uint16_t len) REQUIRES(mu_);
   std::vector<uint8_t> BuildFrame(const MacAddr& dst, uint8_t type, uint16_t sport,
                                   uint16_t dport, const uint8_t* data, uint16_t len) const;
-  // Ring-backed burst of data frames for one socket (called with mu_ held,
-  // like SendFrame): [stage-write →link→ net_transmit] pairs chained into
-  // one submission so a mid-burst transmit failure cancels every later
-  // frame — in-order delivery, exactly like the per-call path stopping at
-  // its first failure. Returns bytes drained from the tx ring.
-  uint64_t RingSendBurst(ObjectId self, Socket* s, uint64_t txr, uint64_t txw,
-                         ContainerEntry seg) REQUIRES(mu_);
+  // Writes the socket's flags word (netd is its only writer, always under
+  // mu_, so Socket::flags mirrors it). False, mirror untouched, when the
+  // caller's labels forbid the write.
+  bool WriteFlags(ObjectId self, Socket* s, uint64_t flags) REQUIRES(mu_);
 
   Result<Socket*> FindSocket(uint64_t sock) REQUIRES(mu_);
-  Result<uint64_t> MakeSocketWithSegment() REQUIRES(mu_);
+  Result<uint64_t> MakeSocketWithSegment(ObjectId self) REQUIRES(mu_);
 
-  UnixWorld* world_ = nullptr;
   Kernel* kernel_ = nullptr;
-  SimNetPort* port_ = nullptr;
   MacAddr mac_{};
   NetTaint taint_;
   ObjectId device_ = kInvalidObject;
   ProcessIds ids_;
-  ObjectId pump_thread_ = kInvalidObject;
   ObjectId ctl_gate_ = kInvalidObject;
-  // Device frame staging, {nr3,nw0,i2,1}. Slot layout (kNetFrameMax each):
-  // [0, kNetRxBurst) receive slots for the pump's ring bursts,
-  // [kNetRxBurst, kNetRxBurst+kNetTxBurst) transmit-burst slots (mu_-held
-  // callers), and one final control slot for synchronous SendFrame
-  // (mu_-held callers) — so a control frame can never clobber a receive
-  // in flight on a kernel worker.
+  // Device frame staging, {nr3,nw0,i2,1}: a receive slot for the pump, and
+  // a transmit slot for SendFrame (mu_-held callers), each kNetFrameMax.
   ObjectId rxbuf_seg_ = kInvalidObject;
-  // The netd submission rings ({i2,1}); kInvalidObject → sync fallback.
-  // Two rings because submit/wait/reap consumers must not share one: the
-  // receive ring belongs to the pump thread alone, the transmit ring to
-  // whoever holds mu_ (DrainTx callers) — a shared ring would let one
-  // consumer's reap scoop up the other's in-flight completions.
-  ObjectId ring_ = kInvalidObject;     // receive bursts (pump thread only)
-  ObjectId ring_tx_ = kInvalidObject;  // transmit bursts (mu_-held callers)
 
   // Guards the socket table and every Socket's fields (the per-Socket
   // members cannot carry GUARDED_BY themselves — the analysis cannot name
@@ -173,8 +149,6 @@ class NetDaemon {
   uint64_t next_sock_ GUARDED_BY(mu_) = 1;
   std::thread pump_host_;
   std::atomic<bool> running_{false};
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> frames_received_{0};
 
   static Mutex registry_mu_;
   static std::map<uint64_t, NetDaemon*> registry_ GUARDED_BY(registry_mu_);

@@ -1,10 +1,96 @@
 #include "src/net/vpn.h"
 
 #include <cstring>
+#include <functional>
 
+#include "src/kernel/ring.h"
 #include "src/kernel/thread_runner.h"
 
 namespace histar {
+
+namespace {
+
+// Receive slots per tun drain: the staging segment is carved into
+// kNetFrameMax-byte slots so each receive in a burst owns private bytes.
+constexpr uint32_t kTunRxBurst = 4;
+
+// Ring-backed tun drain: ONE ring submission of `burst` receive→read
+// chains against `dev`, each chain [net_receive into staging slot i]
+// →link→ [segment_read slot i, the LENGTH ROUTED from NetReceiveRes.len] —
+// the split submit/complete path that lets the NIC's unlocked poll phases
+// run off the calling thread. Staging slots start at offset 0 of
+// `staging`; `burst_buf` must hold burst * kNetFrameMax bytes and stay
+// untouched until the call returns. Invokes fn(frame) for every frame
+// received (in order). Returns the frame count, or -1 when the ring path is
+// unusable (submission refused — the caller falls back to per-call
+// sys_net_receive).
+int RingDrainNic(Kernel* kernel, ObjectId self, ContainerEntry ring, ContainerEntry dev,
+                 ContainerEntry staging, uint32_t burst, std::vector<uint8_t>* burst_buf,
+                 const std::function<void(std::vector<uint8_t>&&)>& fn) {
+  // ONE submission: `burst` independent [receive →link→ read] chains. The
+  // NetReceiveRes length flows into the linked SegmentReadReq (RingSlot
+  // routing), and an empty NIC (kAgain) cancels just that chain's read.
+  std::vector<RingOp> ops;
+  ops.reserve(2 * burst);
+  for (uint32_t slot = 0; slot < burst; ++slot) {
+    uint64_t off = uint64_t{slot} * kNetFrameMax;
+    ops.push_back(
+        RingOp{SyscallReq{NetReceiveReq{dev, staging, off, kNetFrameMax}}, kRingLinked});
+    ops.push_back(RingOp{SyscallReq{SegmentReadReq{staging, burst_buf->data() + off, off, 0}}, 0,
+                         RingSlot::kLen, RingSlot::kLen});
+  }
+  Result<uint64_t> ticket = kernel->sys_ring_submit(self, ring, std::move(ops));
+  if (!ticket.ok()) {
+    return -1;
+  }
+  // Every op in the burst is non-blocking (NetReceive polls, never sleeps),
+  // so completion is prompt; wait indefinitely rather than invent a timeout
+  // that could strand unreaped completions. kHalted/kNotFound are only
+  // reported once no worker holds this burst's buffers (the kernel's
+  // executing-drain), so abandoning on them is safe.
+  if (RingWaitInterruptible(kernel, self, ring, ticket.value()) != Status::kOk) {
+    kernel->sys_ring_reap(self, ring, 0);  // free capacity; frames drop
+    return -1;  // halted / ring destroyed: caller falls back
+  }
+  Result<std::vector<RingCompletion>> done = kernel->sys_ring_reap(self, ring, 0);
+  if (!done.ok()) {
+    return -1;
+  }
+  // Pair completions by SEQ, never by position: an earlier abandoned
+  // burst's late-published completions can sit at the front of the CQ, and
+  // positional pairing would apply their lengths to staging slots the new
+  // burst has since overwritten. Seqs outside this burst's range are
+  // discarded outright.
+  int frames = 0;
+  const uint64_t nops = 2 * uint64_t{burst};
+  const uint64_t first = ticket.value() - nops + 1;
+  std::vector<const SyscallRes*> by_op(nops, nullptr);
+  for (const RingCompletion& c : done.value()) {
+    if (c.seq >= first && c.seq - first < nops) {
+      by_op[static_cast<size_t>(c.seq - first)] = &c.res;
+    }
+  }
+  for (uint32_t slot = 0; slot < burst; ++slot) {
+    const SyscallRes* rres = by_op[2 * slot];
+    const SyscallRes* dres = by_op[2 * slot + 1];
+    if (rres == nullptr || dres == nullptr) {
+      continue;
+    }
+    const NetReceiveRes* rcv = std::get_if<NetReceiveRes>(rres);
+    if (rcv == nullptr || rcv->status != Status::kOk) {
+      continue;  // kAgain (empty NIC) — the linked read completed kCancelled
+    }
+    if (ResStatus(*dres) != Status::kOk || rcv->len > kNetFrameMax) {
+      continue;
+    }
+    const uint8_t* base = burst_buf->data() + uint64_t{slot} * kNetFrameMax;
+    fn(std::vector<uint8_t>(base, base + rcv->len));
+    ++frames;
+  }
+  return frames;
+}
+
+}  // namespace
 
 void TunnelEncode(uint8_t key, const std::vector<uint8_t>& frame, std::vector<uint8_t>* out) {
   uint16_t len = static_cast<uint16_t>(frame.size());
@@ -198,7 +284,7 @@ std::unique_ptr<VpnDaemon> VpnDaemon::Start(UnixWorld* world, NetDaemon* inet,
   d->vpnd_ids_ = ids.value();
 
   // Frame staging buffer for the tun device, labeled like the device —
-  // kNetRxBurst slots so the ring-backed drain can park a whole burst of
+  // kTunRxBurst slots so the ring-backed drain can park a whole burst of
   // receives (slot 0 doubles as the inbound staging slot: the loop is
   // single-threaded and only writes it after its outbound burst is reaped).
   CreateSpec rspec;
@@ -207,7 +293,7 @@ std::unique_ptr<VpnDaemon> VpnDaemon::Start(UnixWorld* world, NetDaemon* inet,
   rspec.descrip = "tun-rxbuf";
   rspec.quota = kObjectOverheadBytes + 4 * kPageSize;
   Result<ObjectId> rxbuf =
-      k->sys_segment_create(boot, rspec, uint64_t{kNetRxBurst} * kNetFrameMax);
+      k->sys_segment_create(boot, rspec, uint64_t{kTunRxBurst} * kNetFrameMax);
   if (!rxbuf.ok()) {
     return nullptr;
   }
@@ -219,7 +305,7 @@ std::unique_ptr<VpnDaemon> VpnDaemon::Start(UnixWorld* world, NetDaemon* inet,
   qspec.label = Label(Level::k1, {{d->v_, Level::k2}});
   qspec.descrip = "vpnd-ring";
   qspec.quota = 16 * kPageSize;
-  Result<ObjectId> ring = k->sys_ring_create(boot, qspec, 4 * kNetRxBurst);
+  Result<ObjectId> ring = k->sys_ring_create(boot, qspec, 4 * kTunRxBurst);
   d->ring_ = ring.ok() ? ring.value() : kInvalidObject;
 
   d->running_.store(true);
@@ -254,14 +340,14 @@ void VpnDaemon::ClientLoop() {
   ContainerEntry rx{vpnd_ids_.proc_ct, rxbuf_};
   TunnelDecoder dec(key_);
   std::vector<uint8_t> buf(4096);
-  std::vector<uint8_t> scratch(uint64_t{kNetRxBurst} * kNetFrameMax);
+  std::vector<uint8_t> burst_buf(uint64_t{kTunRxBurst} * kNetFrameMax);
   while (running_.load()) {
     bool idle = true;
     // Outbound: VPN stack → tun → encrypt → Internet. OpenVPN's check that
     // outgoing packets are not i-tainted is structural here: everything
-    // read from the tun device carries v2, never i. The drain rides the
-    // same ring-backed receive→read bursts as netd's pump (PR 5), falling
-    // back to per-call receives if the ring is unusable.
+    // read from the tun device carries v2, never i. The drain rides
+    // ring-backed receive→read bursts, falling back to per-call
+    // receives if the ring is unusable.
     auto outbound = [&](std::vector<uint8_t>&& frame) {
       std::vector<uint8_t> rec;
       TunnelEncode(key_, frame, &rec);
@@ -272,12 +358,12 @@ void VpnDaemon::ClientLoop() {
     bool ring_ok = ring_ != kInvalidObject;
     while (ring_ok) {
       int got = RingDrainNic(k, self, ContainerEntry{vpnd_ids_.proc_ct, ring_}, tun_dev, rx,
-                             /*slot0_off=*/0, kNetRxBurst, &scratch, outbound);
+                             kTunRxBurst, &burst_buf, outbound);
       if (got < 0) {
         ring_ok = false;
         break;
       }
-      if (got < static_cast<int>(kNetRxBurst)) {
+      if (got < static_cast<int>(kTunRxBurst)) {
         break;  // tun drained
       }
     }

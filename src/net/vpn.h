@@ -88,7 +88,7 @@ class VpnDaemon {
   ProcessIds vpnd_ids_;                    // the trusted-ish vpnd process
   ObjectId rxbuf_ = kInvalidObject;
   // Submission ring for the tun RX bursts ({v2,1}); kInvalidObject → the
-  // loop stays on per-call receives (same fallback contract as netd).
+  // loop stays on per-call receives. vpnd is the last ring user.
   ObjectId ring_ = kInvalidObject;
   uint64_t inet_sock_ = 0;
 

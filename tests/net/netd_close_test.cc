@@ -166,5 +166,34 @@ TEST_F(NetCloseTest, EofIsStickyAndLocalCloseStopsSends) {
   EXPECT_FALSE(w.ok());
 }
 
+// A local close with the peer still open: the close op raises the local-
+// closed flag, so a later Send fails instead of queueing bytes that will
+// never leave, and the peer sees EOF.
+TEST_F(NetCloseTest, LocalCloseWithPeerOpenStopsSends) {
+  ObjectId server = MakeClient(b_.get(), "server");
+  ObjectId client = MakeClient(a_.get(), "client");
+
+  Result<uint64_t> ls = b_->Listen(server, 4245);
+  ASSERT_TRUE(ls.ok());
+  std::thread srv([&]() {
+    CurrentThread bind(server);
+    Result<uint64_t> conn = b_->Accept(server, ls.value(), 5000);
+    ASSERT_TRUE(conn.ok());
+    char buf[16];
+    Result<uint64_t> n = b_->Recv(server, conn.value(), buf, sizeof(buf), 5000);
+    ASSERT_TRUE(n.ok()) << StatusName(n.status());
+    EXPECT_EQ(n.value(), 0u);  // EOF; the server never closes its end
+  });
+
+  CurrentThread bind(client);
+  Result<uint64_t> conn = a_->Connect(client, b_->mac(), 4245);
+  Status closed = conn.ok() ? a_->CloseSocket(client, conn.value()) : conn.status();
+  Result<uint64_t> w =
+      conn.ok() ? a_->Send(client, conn.value(), "x", 1) : Result<uint64_t>(conn.status());
+  srv.join();
+  ASSERT_EQ(closed, Status::kOk) << StatusName(closed);
+  EXPECT_FALSE(w.ok());
+}
+
 }  // namespace
 }  // namespace histar
