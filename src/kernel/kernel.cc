@@ -372,10 +372,13 @@ void Kernel::DestroyObject(ObjectId id, std::vector<ObjectId>* destroyed_segment
     MutexLock pl(&pf_mu_);
     pf_handlers_.erase(id);
   }
-  // The destroyed thread may have been charged in any host thread's slot.
-  for (CountSlot& slot : count_slots_) {
-    MutexLock cl(&slot.mu);
-    slot.counts.erase(id);
+  // Counts are keyed by the calling thread, so only a thread has entries to
+  // drop — but it may have been charged in any host thread's slot.
+  if (o->type() == ObjectType::kThread) {
+    for (CountSlot& slot : count_slots_) {
+      MutexLock cl(&slot.mu);
+      slot.counts.erase(id);
+    }
   }
   table_.EraseLocked(id);
 }

@@ -7,7 +7,6 @@ namespace histar {
 
 std::atomic<uint64_t> StoreAlloc::fail_at_{0};
 std::atomic<uint64_t> StoreAlloc::attempts_{0};
-thread_local uint64_t StoreAlloc::suppress_ = 0;
 
 void StoreAlloc::ThrowInjected(uint64_t nth) {
   // Out of line so the Check() fast path stays two relaxed atomics. The

@@ -62,7 +62,7 @@ class StoreAlloc {
 
   static std::atomic<uint64_t> fail_at_;
   static std::atomic<uint64_t> attempts_;
-  static thread_local uint64_t suppress_;
+  static inline thread_local uint64_t suppress_ = 0;
 };
 
 // RAII suppression for cleanup paths (freeing superseded extents, unwinding

@@ -1,6 +1,7 @@
 #include "src/unixlib/fs.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "src/unixlib/mutex.h"
@@ -49,71 +50,28 @@ Result<ObjectId> FileSystem::MakeRoot(ObjectId self, ObjectId parent_container,
   // 16 MB default directory can hold ~4k names.
   sspec.quota = std::min<uint64_t>(quota / 4, 256 * 1024);
   Result<ObjectId> seg = kernel_->sys_segment_create(self, sspec, sizeof(DirHeader));
-  if (!seg.ok()) {
-    return seg.status();
+  Status st = seg.status();
+  if (st == Status::kOk) {
+    // Stash the directory segment's id in the container metadata.
+    uint64_t md[1] = {seg.value()};
+    st = kernel_->sys_obj_set_metadata(self, SelfEntry(dir.value()), md, sizeof(md));
   }
-  // Stash the directory segment's id in the container metadata.
-  uint64_t md[1] = {seg.value()};
-  Status st = kernel_->sys_obj_set_metadata(self, SelfEntry(dir.value()), md, sizeof(md));
   if (st != Status::kOk) {
+    // Unreferencing the half-built directory takes its segment with it.
+    kernel_->sys_container_unref(self, ContainerEntry{parent_container, dir.value()});
     return st;
   }
   return dir.value();
 }
 
-Result<ObjectId> FileSystem::MakeDir(ObjectId self, ObjectId parent, const std::string& name,
-                                     const Label& label, uint64_t quota) {
+template <typename Make>
+Result<ObjectId> FileSystem::AddEntry(ObjectId self, ObjectId dir, const std::string& name,
+                                      Make&& make) {
   if (name.empty() || name.size() > kMaxFileName) {
     return Status::kInvalidArg;
   }
-  Result<ObjectId> existing = Lookup(self, parent, name);
-  if (existing.ok()) {
-    return Status::kExists;
-  }
-  Result<ObjectId> dir = MakeRoot(self, parent, label, quota);
-  if (!dir.ok()) {
-    return dir.status();
-  }
-  Result<ObjectId> seg = DirSegment(self, parent);
-  if (!seg.ok()) {
-    return seg.status();
-  }
-  ContainerEntry seg_ce{parent, seg.value()};
-  SegmentMutex mu(kernel_, seg_ce, 0);
-  if (!mu.Lock(self)) {
-    return Status::kLabelCheckFailed;
-  }
-  uint64_t slot;
-  FindEntry(self, seg_ce, name, &slot);
-  DirEntry e{};
-  e.objid = dir.value();
-  e.in_use = 1;
-  memcpy(e.name, name.data(), name.size());
-  Status st = WriteEntry(self, seg_ce, slot, e);
-  mu.Unlock(self);
-  if (st != Status::kOk) {
-    return st;
-  }
-  return dir.value();
-}
-
-Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::string& name,
-                                    const Label& label, uint64_t quota) {
-  if (name.empty() || name.size() > kMaxFileName) {
-    return Status::kInvalidArg;
-  }
-  Result<ObjectId> existing = Lookup(self, dir, name);
-  if (existing.ok()) {
-    return Status::kExists;
-  }
-  CreateSpec fspec;
-  fspec.container = dir;
-  fspec.label = label;
-  fspec.descrip = name.substr(0, kDescripLen);
-  fspec.quota = quota;
-  Result<ObjectId> file = kernel_->sys_segment_create(self, fspec, 0);
-  if (!file.ok()) {
-    return file.status();
+  if (mounts_.Resolve(dir, name) != kInvalidObject) {
+    return Status::kExists;  // Lookup would resolve the name to the mount
   }
   Result<ObjectId> seg = DirSegment(self, dir);
   if (!seg.ok()) {
@@ -124,18 +82,48 @@ Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::stri
   if (!mu.Lock(self)) {
     return Status::kLabelCheckFailed;
   }
-  uint64_t slot;
-  FindEntry(self, seg_ce, name, &slot);
+  // The name check, the create and the record write all run under the
+  // mutex, so a concurrent Create cannot take the name in between.
+  DirScan scan;
+  uint64_t slot = 0;
+  Result<ObjectId> existing = FindEntry(self, seg_ce, name, &scan, &slot);
+  if (existing.status() != Status::kNotFound) {
+    mu.Unlock(self);
+    return existing.ok() ? Status::kExists : existing.status();
+  }
+  Result<ObjectId> obj = make();
+  if (!obj.ok()) {
+    mu.Unlock(self);
+    return obj.status();
+  }
   DirEntry e{};
-  e.objid = file.value();
+  e.objid = obj.value();
   e.in_use = 1;
   memcpy(e.name, name.data(), name.size());
-  Status st = WriteEntry(self, seg_ce, slot, e);
+  Status st = WriteEntry(self, seg_ce, &scan, slot, e);
   mu.Unlock(self);
   if (st != Status::kOk) {
+    kernel_->sys_container_unref(self, ContainerEntry{dir, obj.value()});
     return st;
   }
-  return file.value();
+  return obj.value();
+}
+
+Result<ObjectId> FileSystem::MakeDir(ObjectId self, ObjectId parent, const std::string& name,
+                                     const Label& label, uint64_t quota) {
+  return AddEntry(self, parent, name, [&] { return MakeRoot(self, parent, label, quota); });
+}
+
+Result<ObjectId> FileSystem::Create(ObjectId self, ObjectId dir, const std::string& name,
+                                    const Label& label, uint64_t quota) {
+  return AddEntry(self, dir, name, [&] {
+    CreateSpec fspec;
+    fspec.container = dir;
+    fspec.label = label;
+    fspec.descrip = name.substr(0, kDescripLen);
+    fspec.quota = quota;
+    return kernel_->sys_segment_create(self, fspec, 0);
+  });
 }
 
 Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::string& name,
@@ -149,8 +137,9 @@ Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::str
   if (!mu.Lock(self)) {
     return Status::kLabelCheckFailed;
   }
-  uint64_t slot;
-  Result<ObjectId> old = FindEntry(self, seg_ce, name, &slot);
+  DirScan scan;
+  uint64_t slot = 0;
+  Result<ObjectId> old = FindEntry(self, seg_ce, name, &scan, &slot);
   if (!old.ok()) {
     mu.Unlock(self);
     return old.status();
@@ -176,7 +165,7 @@ Result<ObjectId> FileSystem::Relabel(ObjectId self, ObjectId dir, const std::str
   e.objid = copy.value();
   e.in_use = 1;
   memcpy(e.name, name.data(), std::min(name.size(), sizeof(e.name) - 1));
-  Status st = WriteEntry(self, seg_ce, slot, e);
+  Status st = WriteEntry(self, seg_ce, &scan, slot, e);
   mu.Unlock(self);
   if (st != Status::kOk) {
     kernel_->sys_container_unref(self, ContainerEntry{dir, copy.value()});
@@ -201,54 +190,65 @@ Result<ObjectId> FileSystem::DirSegment(ObjectId self, ObjectId dir) {
   return seg;
 }
 
-namespace {
-// Directory scans read fixed 64-byte records from one segment — the
-// archetypal same-shard syscall run. Submitting them in batches pays one
-// TableLock per kDirScanBatch records instead of one per record, which is
-// where a path walk spends most of its syscalls.
-constexpr uint64_t kDirScanBatch = 16;
-}  // namespace
-
 template <typename Fn>
-Status FileSystem::ScanDirRecords(ObjectId self, ContainerEntry seg, uint64_t n, Fn&& fn) {
-  DirEntry entries[kDirScanBatch];
-  SyscallReq reqs[kDirScanBatch];
-  SyscallRes res[kDirScanBatch];
-  for (uint64_t base = 0; base < n; base += kDirScanBatch) {
-    uint64_t cnt = std::min(kDirScanBatch, n - base);
-    for (uint64_t i = 0; i < cnt; ++i) {
-      reqs[i] = SegmentReadReq{seg, &entries[i],
-                               sizeof(DirHeader) + (base + i) * sizeof(DirEntry),
-                               sizeof(DirEntry)};
-    }
-    kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
-                         std::span<SyscallRes>(res, cnt));
-    for (uint64_t i = 0; i < cnt; ++i) {
-      Status st = std::get<SegmentReadRes>(res[i]).status;
-      if (st != Status::kOk) {
-        return st;
-      }
-      if (!fn(base + i, entries[i])) {
-        return Status::kOk;
-      }
+Status FileSystem::ScanDirRecords(ObjectId self, ContainerEntry seg, DirScan* scan, Fn&& fn) {
+  Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
+  if (!len.ok()) {
+    return len.status();
+  }
+  if (len.value() < sizeof(DirHeader)) {
+    return Status::kWrongType;  // too short to be a directory segment
+  }
+  uint64_t n = (len.value() - sizeof(DirHeader)) / sizeof(DirEntry);
+  std::vector<uint8_t> buf(sizeof(DirHeader) + n * sizeof(DirEntry));
+  Status st = kernel_->sys_segment_read(self, seg, buf.data(), 0, buf.size());
+  if (st != Status::kOk) {
+    return st;
+  }
+  memcpy(&scan->header, buf.data(), sizeof(DirHeader));
+  scan->len = len.value();
+  for (uint64_t slot = 0; slot < n; ++slot) {
+    DirEntry e{};
+    memcpy(&e, buf.data() + sizeof(DirHeader) + slot * sizeof(DirEntry), sizeof(e));
+    if (!fn(slot, e)) {
+      break;
     }
   }
   return Status::kOk;
 }
 
-Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,
-                                       const std::string& name, uint64_t* slot_out) {
-  Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
-  if (!len.ok()) {
-    return len.status();
+Result<bool> FileSystem::ScanStillCurrent(ObjectId self, ContainerEntry seg,
+                                          const DirScan& scan) {
+  if (scan.header.busy != 0) {
+    return false;
   }
-  uint64_t n = (len.value() - sizeof(DirHeader)) / sizeof(DirEntry);
-  uint64_t free_slot = n;
-  uint64_t found_slot = n;
+  DirHeader after{};
+  SyscallReq reqs[2] = {SyscallReq{SegmentReadReq{seg, &after, 0, sizeof(after)}},
+                        SyscallReq{SegmentGetLenReq{seg}}};
+  SyscallRes res[2];
+  kernel_->SubmitBatch(self, reqs, res);
+  for (const SyscallRes& r : res) {
+    Status st = ResStatus(r);
+    if (st != Status::kOk) {
+      return st;
+    }
+  }
+  // The length catches an append that landed between the scan's get_len and
+  // its read: the read already carried that append's generation.
+  return after.generation == scan.header.generation && after.busy == 0 &&
+         std::get<SegmentGetLenRes>(res[1]).len == scan.len;
+}
+
+Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,
+                                       const std::string& name, DirScan* scan,
+                                       uint64_t* slot_out) {
+  constexpr uint64_t kNoSlot = ~uint64_t{0};
+  uint64_t free_slot = kNoSlot;
+  uint64_t found_slot = kNoSlot;
   ObjectId found = kInvalidObject;
-  Status st = ScanDirRecords(self, seg, n, [&](uint64_t slot, const DirEntry& e) {
+  Status st = ScanDirRecords(self, seg, scan, [&](uint64_t slot, const DirEntry& e) {
     if (e.in_use == 0) {
-      if (free_slot == n) {
+      if (free_slot == kNoSlot) {
         free_slot = slot;
       }
       return true;
@@ -270,44 +270,45 @@ Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,
     return found;
   }
   if (slot_out != nullptr) {
-    *slot_out = free_slot;
+    // No free slot: append one past the last record.
+    *slot_out = free_slot != kNoSlot ? free_slot
+                                     : (scan->len - sizeof(DirHeader)) / sizeof(DirEntry);
   }
   return Status::kNotFound;
 }
 
-Status FileSystem::WriteEntry(ObjectId self, ContainerEntry seg, uint64_t slot,
+Status FileSystem::WriteEntry(ObjectId self, ContainerEntry seg, DirScan* scan, uint64_t slot,
                               const DirEntry& e) {
-  Status st = BumpGeneration(self, seg, +1);
-  if (st != Status::kOk) {
-    return st;
-  }
-  Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg);
-  if (!len.ok()) {
-    return len.status();
-  }
+  // Only header bytes 8..24 (generation, busy) are written: the mutex word
+  // at offset 0 is CASed by contenders, and writing back a stale copy would
+  // drop their locked-with-waiters mark. The caller holds the mutex, so it
+  // is the only writer of the generation and its scan's copy is current.
+  const uint64_t gen = scan->header.generation;
+  const uint64_t busy[2] = {gen + 1, 1};
+  const uint64_t idle[2] = {gen + 2, 0};
+  constexpr uint64_t kGenOff = offsetof(DirHeader, generation);
   uint64_t need = sizeof(DirHeader) + (slot + 1) * sizeof(DirEntry);
-  if (len.value() < need) {
-    st = kernel_->sys_segment_resize(self, seg, need);
+  SyscallReq reqs[4];
+  size_t n = 0;
+  reqs[n++] = SegmentWriteReq{seg, busy, kGenOff, sizeof(busy)};
+  if (scan->len < need) {
+    reqs[n++] = SegmentResizeReq{seg, need};
+  }
+  reqs[n++] = SegmentWriteReq{seg, &e, sizeof(DirHeader) + slot * sizeof(DirEntry), sizeof(e)};
+  // Runs even if an earlier entry failed (batch completions are
+  // independent), so a failed resize still leaves the directory idle.
+  reqs[n++] = SegmentWriteReq{seg, idle, kGenOff, sizeof(idle)};
+  SyscallRes res[4];
+  kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, n), std::span<SyscallRes>(res, n));
+  for (size_t i = 0; i < n; ++i) {
+    Status st = ResStatus(res[i]);
     if (st != Status::kOk) {
-      BumpGeneration(self, seg, -1);
       return st;
     }
   }
-  st = kernel_->sys_segment_write(self, seg, &e, sizeof(DirHeader) + slot * sizeof(DirEntry),
-                                  sizeof(e));
-  BumpGeneration(self, seg, -1);
-  return st;
-}
-
-Status FileSystem::BumpGeneration(ObjectId self, ContainerEntry seg, int64_t busy_delta) {
-  DirHeader h;
-  Status st = kernel_->sys_segment_read(self, seg, &h, 0, sizeof(h));
-  if (st != Status::kOk) {
-    return st;
-  }
-  ++h.generation;
-  h.busy = static_cast<uint64_t>(static_cast<int64_t>(h.busy) + busy_delta);
-  return kernel_->sys_segment_write(self, seg, &h, 0, sizeof(h));
+  scan->header.generation = gen + 2;
+  scan->len = std::max(scan->len, need);
+  return Status::kOk;
 }
 
 Result<ObjectId> FileSystem::Lookup(ObjectId self, ObjectId dir, const std::string& name) {
@@ -323,21 +324,16 @@ Result<ObjectId> FileSystem::Lookup(ObjectId self, ObjectId dir, const std::stri
   ContainerEntry seg_ce{dir, seg.value()};
   // Consistent read without the mutex: retry while a writer is mid-update.
   for (int attempt = 0; attempt < 100; ++attempt) {
-    DirHeader before;
-    Status st = kernel_->sys_segment_read(self, seg_ce, &before, 0, sizeof(before));
-    if (st != Status::kOk) {
-      return st;
+    DirScan scan;
+    Result<ObjectId> r = FindEntry(self, seg_ce, name, &scan, nullptr);
+    if (!r.ok() && r.status() != Status::kNotFound) {
+      return r.status();
     }
-    if (before.busy != 0) {
-      continue;
+    Result<bool> current = ScanStillCurrent(self, seg_ce, scan);
+    if (!current.ok()) {
+      return current.status();
     }
-    Result<ObjectId> r = FindEntry(self, seg_ce, name, nullptr);
-    DirHeader after;
-    st = kernel_->sys_segment_read(self, seg_ce, &after, 0, sizeof(after));
-    if (st != Status::kOk) {
-      return st;
-    }
-    if (after.generation == before.generation && after.busy == 0) {
+    if (current.value()) {
       return r;
     }
   }
@@ -354,14 +350,15 @@ Status FileSystem::Unlink(ObjectId self, ObjectId dir, const std::string& name) 
   if (!mu.Lock(self)) {
     return Status::kLabelCheckFailed;
   }
-  uint64_t slot;
-  Result<ObjectId> obj = FindEntry(self, seg_ce, name, &slot);
+  DirScan scan;
+  uint64_t slot = 0;
+  Result<ObjectId> obj = FindEntry(self, seg_ce, name, &scan, &slot);
   if (!obj.ok()) {
     mu.Unlock(self);
     return obj.status();
   }
   DirEntry empty{};
-  Status st = WriteEntry(self, seg_ce, slot, empty);
+  Status st = WriteEntry(self, seg_ce, &scan, slot, empty);
   mu.Unlock(self);
   if (st != Status::kOk) {
     return st;
@@ -383,28 +380,46 @@ Status FileSystem::Rename(ObjectId self, ObjectId dir, const std::string& from,
   if (!mu.Lock(self)) {
     return Status::kLabelCheckFailed;
   }
-  uint64_t from_slot;
-  Result<ObjectId> obj = FindEntry(self, seg_ce, from, &from_slot);
-  if (!obj.ok()) {
-    mu.Unlock(self);
-    return obj.status();
+  // One scan finds both names. If `to` exists it is replaced (Unix
+  // semantics), its object unreferenced after the name switch.
+  DirScan scan;
+  uint64_t from_slot = 0;
+  uint64_t to_slot = 0;
+  ObjectId obj = kInvalidObject;
+  ObjectId displaced = kInvalidObject;
+  Status st = ScanDirRecords(self, seg_ce, &scan, [&](uint64_t slot, const DirEntry& e) {
+    if (e.in_use == 0) {
+      return true;
+    }
+    if (strncmp(e.name, from.c_str(), sizeof(e.name)) == 0) {
+      from_slot = slot;
+      obj = e.objid;
+    } else if (strncmp(e.name, to.c_str(), sizeof(e.name)) == 0) {
+      to_slot = slot;
+      displaced = e.objid;
+    }
+    return obj == kInvalidObject || displaced == kInvalidObject;
+  });
+  if (st == Status::kOk && obj == kInvalidObject) {
+    st = Status::kNotFound;
   }
-  // If `to` exists it is replaced (Unix semantics), its object unreferenced
-  // after the name switch.
-  uint64_t to_slot;
-  Result<ObjectId> displaced = FindEntry(self, seg_ce, to, &to_slot);
+  if (st != Status::kOk || from == to) {
+    mu.Unlock(self);
+    return st;
+  }
+  bool replace = displaced != kInvalidObject;
   DirEntry e{};
-  e.objid = obj.value();
+  e.objid = obj;
   e.in_use = 1;
   memcpy(e.name, to.data(), to.size());
-  Status st = WriteEntry(self, seg_ce, displaced.ok() ? to_slot : from_slot, e);
-  if (st == Status::kOk && displaced.ok()) {
+  st = WriteEntry(self, seg_ce, &scan, replace ? to_slot : from_slot, e);
+  if (st == Status::kOk && replace) {
     DirEntry empty{};
-    st = WriteEntry(self, seg_ce, from_slot, empty);
+    st = WriteEntry(self, seg_ce, &scan, from_slot, empty);
   }
   mu.Unlock(self);
-  if (st == Status::kOk && displaced.ok() && displaced.value() != obj.value()) {
-    kernel_->sys_container_unref(self, ContainerEntry{dir, displaced.value()});
+  if (st == Status::kOk && replace && displaced != obj) {
+    kernel_->sys_container_unref(self, ContainerEntry{dir, displaced});
   }
   return st;
 }
@@ -417,21 +432,9 @@ Result<std::vector<std::pair<std::string, ObjectId>>> FileSystem::ReadDir(Object
   }
   ContainerEntry seg_ce{dir, seg.value()};
   for (int attempt = 0; attempt < 100; ++attempt) {
-    DirHeader before;
-    Status st = kernel_->sys_segment_read(self, seg_ce, &before, 0, sizeof(before));
-    if (st != Status::kOk) {
-      return st;
-    }
-    if (before.busy != 0) {
-      continue;
-    }
-    Result<uint64_t> len = kernel_->sys_segment_get_len(self, seg_ce);
-    if (!len.ok()) {
-      return len.status();
-    }
-    uint64_t n = (len.value() - sizeof(DirHeader)) / sizeof(DirEntry);
+    DirScan scan;
     std::vector<std::pair<std::string, ObjectId>> out;
-    st = ScanDirRecords(self, seg_ce, n, [&](uint64_t, const DirEntry& e) {
+    Status st = ScanDirRecords(self, seg_ce, &scan, [&](uint64_t, const DirEntry& e) {
       if (e.in_use != 0) {
         out.emplace_back(std::string(e.name, strnlen(e.name, sizeof(e.name))), e.objid);
       }
@@ -440,12 +443,11 @@ Result<std::vector<std::pair<std::string, ObjectId>>> FileSystem::ReadDir(Object
     if (st != Status::kOk) {
       return st;
     }
-    DirHeader after;
-    st = kernel_->sys_segment_read(self, seg_ce, &after, 0, sizeof(after));
-    if (st != Status::kOk) {
-      return st;
+    Result<bool> current = ScanStillCurrent(self, seg_ce, scan);
+    if (!current.ok()) {
+      return current.status();
     }
-    if (after.generation == before.generation && after.busy == 0) {
+    if (current.value()) {
       return out;
     }
   }

@@ -11,7 +11,9 @@
 //
 // Directory updates take the segment mutex and bump the generation; readers
 // who cannot write the directory obtain a consistent snapshot by re-reading
-// the generation and busy flag around each entry (paper §5.1).
+// the generation and busy flag around each scan (paper §5.1). A scan is one
+// read of the header and the whole record array; names are matched in
+// memory.
 //
 // The directory segment's object ID is stored in the first 8 bytes of the
 // directory container's metadata. File modification times live in the file
@@ -139,21 +141,44 @@ class FileSystem {
   // Finds the directory segment for container `dir` (from its metadata).
   Result<ObjectId> DirSegment(ObjectId self, ObjectId dir);
 
-  // Batched scan over the first `n` directory records of `seg`: reads them
-  // in kDirScanBatch-sized SubmitBatch groups (one kernel lock round-trip
-  // per group) and invokes fn(slot, entry) on each; fn returns false to
-  // stop early. Returns the first read error, else kOk. Shared by FindEntry
-  // and ReadDir so the two scans cannot drift. Defined in fs.cc (both users
-  // live there).
+  // What one directory scan saw: the header from the same read as the
+  // records, and the segment length that sized that read.
+  struct DirScan {
+    DirHeader header{};
+    uint64_t len = 0;
+  };
+
+  // One directory scan: a single sys_segment_read fetches the header and
+  // every record of `seg` into a per-call buffer (not a member: one
+  // FileSystem serves every client thread), fills *scan, then invokes
+  // fn(slot, entry) on each record in memory; fn returns false to stop
+  // early. Returns the first syscall error, else kOk. FindEntry, Rename and
+  // ReadDir all scan through it. Defined in fs.cc (every user lives there).
   template <typename Fn>
-  Status ScanDirRecords(ObjectId self, ContainerEntry seg, uint64_t n, Fn&& fn);
+  Status ScanDirRecords(ObjectId self, ContainerEntry seg, DirScan* scan, Fn&& fn);
 
-  // Entry scan helpers; `slot_out` receives the matching or first-free slot.
+  // The closing half of the lock-free read (§5.1): re-reads the header and
+  // the length in one batch; true iff no writer was busy at the scan and
+  // none has moved the generation or resized the table since.
+  Result<bool> ScanStillCurrent(ObjectId self, ContainerEntry seg, const DirScan& scan);
+
+  // Scans for `name`; `slot_out` receives the matching or first-free slot.
   Result<ObjectId> FindEntry(ObjectId self, ContainerEntry seg, const std::string& name,
-                             uint64_t* slot_out);
+                             DirScan* scan, uint64_t* slot_out);
 
-  Status WriteEntry(ObjectId self, ContainerEntry seg, uint64_t slot, const DirEntry& e);
-  Status BumpGeneration(ObjectId self, ContainerEntry seg, int64_t busy_delta);
+  // Names the object make() creates in `dir` (Create, MakeDir). Under the
+  // directory mutex: fails with kExists if the name is taken, else creates
+  // the object and writes its record, unreferencing the object again if the
+  // record cannot be written.
+  template <typename Make>
+  Result<ObjectId> AddEntry(ObjectId self, ObjectId dir, const std::string& name, Make&& make);
+
+  // Writes record `slot` as one SubmitBatch, bracketed by generation/busy
+  // writes, growing the table if the slot is past its end. The caller holds
+  // the directory mutex and passes the scan it took under it; on success
+  // the scan is advanced to the written state.
+  Status WriteEntry(ObjectId self, ContainerEntry seg, DirScan* scan, uint64_t slot,
+                    const DirEntry& e);
 
   Kernel* kernel_;
   MountTable mounts_;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/unixlib/unix.h"
 
 namespace histar {
@@ -88,6 +90,16 @@ TEST_F(FsTest, RenameReplacesTarget) {
   EXPECT_FALSE(kernel_->ObjectExists(b.value()));  // displaced object reclaimed
 }
 
+TEST_F(FsTest, RenameOntoItselfKeepsTheName) {
+  ObjectId tmp = world_->tmp_dir();
+  Result<ObjectId> f = fs().Create(self_, tmp, "same", Label());
+  ASSERT_TRUE(f.ok());
+  ASSERT_EQ(fs().Rename(self_, tmp, "same", "same"), Status::kOk);
+  Result<ObjectId> still = fs().Lookup(self_, tmp, "same");
+  ASSERT_TRUE(still.ok()) << StatusName(still.status());
+  EXPECT_EQ(still.value(), f.value());
+}
+
 TEST_F(FsTest, ReadDirListsEntries) {
   ObjectId tmp = world_->tmp_dir();
   ASSERT_TRUE(fs().Create(self_, tmp, "one", Label()).ok());
@@ -96,6 +108,104 @@ TEST_F(FsTest, ReadDirListsEntries) {
   Result<std::vector<std::pair<std::string, ObjectId>>> list = fs().ReadDir(self_, tmp);
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list.value().size(), 3u);
+}
+
+TEST_F(FsTest, DirectoryScansCostOneReadNotOnePerRecord) {
+  // 300 slots with every third name unlinked, so a scan crosses live and
+  // free records alike. Each scan is one segment read, whatever its length.
+  Result<ObjectId> dir = fs().MakeDir(self_, world_->tmp_dir(), "wide", Label(), 4 << 20);
+  ASSERT_TRUE(dir.ok());
+  std::map<std::string, ObjectId> live;
+  for (int i = 0; i < 300; ++i) {
+    std::string name = "f" + std::to_string(i);
+    Result<ObjectId> f = fs().Create(self_, dir.value(), name, Label(), kObjectOverheadBytes);
+    ASSERT_TRUE(f.ok()) << StatusName(f.status());
+    live[name] = f.value();
+  }
+  for (int i = 0; i < 300; i += 3) {
+    std::string name = "f" + std::to_string(i);
+    ASSERT_EQ(fs().Unlink(self_, dir.value(), name), Status::kOk);
+    live.erase(name);
+  }
+  auto syscalls = [&](auto&& op) {
+    uint64_t before = kernel_->thread_syscall_count(self_);
+    op();
+    return kernel_->thread_syscall_count(self_) - before;
+  };
+
+  Result<ObjectId> last = Status::kNotFound;
+  EXPECT_LE(syscalls([&] { last = fs().Lookup(self_, dir.value(), "f299"); }), 5u);
+  ASSERT_TRUE(last.ok()) << StatusName(last.status());
+  EXPECT_EQ(last.value(), live["f299"]);
+
+  Result<ObjectId> missing = kInvalidObject;
+  EXPECT_LE(syscalls([&] { missing = fs().Lookup(self_, dir.value(), "nope"); }), 5u);
+  EXPECT_EQ(missing.status(), Status::kNotFound);
+
+  Result<std::vector<std::pair<std::string, ObjectId>>> list = Status::kNotFound;
+  EXPECT_LE(syscalls([&] { list = fs().ReadDir(self_, dir.value()); }), 5u);
+  ASSERT_TRUE(list.ok()) << StatusName(list.status());
+  std::map<std::string, ObjectId> listed(list.value().begin(), list.value().end());
+  EXPECT_EQ(listed, live);
+
+  Result<ObjectId> made = kInvalidObject;
+  EXPECT_LE(syscalls([&] {
+              made = fs().Create(self_, dir.value(), "fresh", Label(), kObjectOverheadBytes);
+            }),
+            15u);
+  ASSERT_TRUE(made.ok()) << StatusName(made.status());
+  Result<ObjectId> found = fs().Lookup(self_, dir.value(), "fresh");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found.value(), made.value());
+}
+
+TEST_F(FsTest, FullNameTableLeavesNoOrphan) {
+  // A 64 KB directory's name table (a quarter of its budget) fills before
+  // the directory's quota does. The Create that finds no room for its name
+  // must take its new file back.
+  Result<ObjectId> dir = fs().MakeDir(self_, world_->tmp_dir(), "small", Label(), 64 << 10);
+  ASSERT_TRUE(dir.ok());
+  Status st = Status::kOk;
+  size_t created = 0;
+  for (; created < 1000; ++created) {
+    st = fs().Create(self_, dir.value(), "f" + std::to_string(created), Label(),
+                     kObjectOverheadBytes)
+             .status();
+    if (st != Status::kOk) {
+      break;
+    }
+  }
+  EXPECT_EQ(st, Status::kQuotaExceeded);
+  Result<std::vector<std::pair<std::string, ObjectId>>> names = fs().ReadDir(self_, dir.value());
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(names.value().size(), created);
+  Result<std::vector<ObjectId>> objs = kernel_->sys_container_list(self_, dir.value());
+  ASSERT_TRUE(objs.ok());
+  EXPECT_EQ(objs.value().size(), names.value().size() + 1);  // + the directory segment
+}
+
+TEST_F(FsTest, CreateOfExistingNameMakesNoObject) {
+  ObjectId tmp = world_->tmp_dir();
+  ASSERT_TRUE(fs().Create(self_, tmp, "taken", Label()).ok());
+  Result<std::vector<ObjectId>> before = kernel_->sys_container_list(self_, tmp);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(fs().Create(self_, tmp, "taken", Label()).status(), Status::kExists);
+  EXPECT_EQ(fs().MakeDir(self_, tmp, "taken", Label(), 1 << 16).status(), Status::kExists);
+  Result<std::vector<ObjectId>> after = kernel_->sys_container_list(self_, tmp);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), before.value());
+}
+
+TEST_F(FsTest, FailedMakeDirLeavesNoObject) {
+  // A 256-byte budget holds the container but not its name table: MakeDir
+  // fails, and takes the half-built container back.
+  ObjectId tmp = world_->tmp_dir();
+  Result<std::vector<ObjectId>> before = kernel_->sys_container_list(self_, tmp);
+  ASSERT_TRUE(before.ok());
+  EXPECT_FALSE(fs().MakeDir(self_, tmp, "cramped", Label(), 256).ok());
+  Result<std::vector<ObjectId>> after = kernel_->sys_container_list(self_, tmp);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), before.value());
 }
 
 TEST_F(FsTest, WalkResolvesNestedPaths) {
