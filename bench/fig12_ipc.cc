@@ -215,180 +215,6 @@ void BM_HiStarLockFreeBatchGet(::benchmark::State& state) {
 }
 BENCHMARK(BM_HiStarLockFreeBatchGet)->Unit(::benchmark::kMicrosecond);
 
-// The same 3-reads-1-write mix through the PR 5 async ring: one submission
-// of `batch` ops, completion awaited and reaped. Single-threaded this buys
-// nothing over the sync batch — it ADDS the submit/wait/reap round trips
-// and a worker handoff — which is exactly the point of the row: the ring's
-// win is overlap across submitters (multicore; see the TSan stress test for
-// the correctness side), while this measures the fixed price of the async
-// shape against BM_HiStarBatchedSegOps (the sync batch) and Arg(1)
-// per-call submission.
-void BM_HiStarRingSegOps(::benchmark::State& state) {
-  const uint64_t batch = static_cast<uint64_t>(state.range(0));
-  constexpr uint64_t kOpsPerIter = 16;
-  World w = BootWorld(/*with_store=*/false);
-  Kernel* k = w.kernel.get();
-
-  CreateSpec spec;
-  spec.container = k->root_container();
-  spec.label = Label();
-  spec.descrip = "ipcbuf";
-  spec.quota = kObjectOverheadBytes + 4096 + kPageSize;
-  Result<ObjectId> seg = k->sys_segment_create(w.init(), spec, 4096);
-  CreateSpec rspec;
-  rspec.container = k->root_container();
-  rspec.label = Label();
-  rspec.descrip = "benchring";
-  rspec.quota = 16 * kPageSize;
-  Result<ObjectId> ring = k->sys_ring_create(w.init(), rspec, 64);
-  if (!seg.ok() || !ring.ok()) {
-    state.SkipWithError("setup failed");
-    return;
-  }
-  ContainerEntry ce{k->root_container(), seg.value()};
-  ContainerEntry re{k->root_container(), ring.value()};
-
-  char buf[8] = {'r', 'i', 'n', 'g', 'b', 'n', 'c', 'h'};
-  for (auto _ : state) {
-    for (uint64_t done = 0; done < kOpsPerIter; done += batch) {
-      std::vector<RingOp> ops;
-      ops.reserve(batch);
-      for (uint64_t i = 0; i < batch; ++i) {
-        uint64_t off = 8 * ((done + i) % 16);
-        if ((done + i) % 4 == 3) {
-          ops.push_back(RingOp{SyscallReq{SegmentWriteReq{ce, buf, off, 8}}});
-        } else {
-          ops.push_back(RingOp{SyscallReq{SegmentReadReq{ce, buf, off, 8}}});
-        }
-      }
-      Result<uint64_t> t = k->sys_ring_submit(w.init(), re, std::move(ops));
-      if (!t.ok() || k->sys_ring_wait(w.init(), re, t.value(), 0) != Status::kOk) {
-        state.SkipWithError("ring submission failed");
-        return;
-      }
-      Result<std::vector<RingCompletion>> res = k->sys_ring_reap(w.init(), re, 0);
-      if (!res.ok()) {
-        state.SkipWithError("reap failed");
-        return;
-      }
-      ::benchmark::DoNotOptimize(res.value().data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kOpsPerIter);
-  CurrentThread::Set(kInvalidObject);
-}
-BENCHMARK(BM_HiStarRingSegOps)->Arg(1)->Arg(4)->Arg(16)->Unit(::benchmark::kMicrosecond);
-
-// Multi-submitter variant of the ring row (PR 6): one shared world, one
-// shared read-mostly segment, one ring PER BENCH THREAD — the shape the
-// async engine exists for, with the worker pool sized from the machine
-// (RingEngine::DefaultWorkers). Each thread submits a fixed batch (Arg),
-// waits, reaps. On a single-CPU host every row collapses to the 1-thread
-// cost plus scheduling noise (the BENCH_pr6.json env block records that
-// caveat machine-readably); on multicore the per-thread rings and
-// lock-free read path let rows stay near-flat.
-constexpr int kRingMaxThreads = 8;
-struct RingWorld {
-  std::unique_ptr<Kernel> kernel;
-  ObjectId root = kInvalidObject;
-  ObjectId seg = kInvalidObject;
-  std::vector<ObjectId> threads;
-  std::vector<ObjectId> rings;  // one per bench thread: no queue contention
-};
-RingWorld g_ring_world;
-
-bool BuildRingWorld() {
-  g_ring_world.kernel = std::make_unique<Kernel>();
-  Kernel* k = g_ring_world.kernel.get();
-  g_ring_world.root = k->root_container();
-  g_ring_world.threads.clear();
-  g_ring_world.rings.clear();
-  for (int i = 0; i < kRingMaxThreads; ++i) {
-    ObjectId t = k->BootstrapThread(Label(Level::k1), Label(Level::k2),
-                                    "ringbench-t" + std::to_string(i));
-    if (t == kInvalidObject) {
-      return false;
-    }
-    g_ring_world.threads.push_back(t);
-  }
-  CreateSpec spec;
-  spec.container = g_ring_world.root;
-  spec.label = Label(Level::k1);
-  spec.descrip = "ringbuf";
-  spec.quota = kObjectOverheadBytes + 4096 + kPageSize;
-  Result<ObjectId> seg = k->sys_segment_create(g_ring_world.threads[0], spec, 4096);
-  if (!seg.ok()) {
-    return false;
-  }
-  g_ring_world.seg = seg.value();
-  for (int i = 0; i < kRingMaxThreads; ++i) {
-    CreateSpec rspec;
-    rspec.container = g_ring_world.root;
-    rspec.label = Label(Level::k1);
-    rspec.descrip = "benchring" + std::to_string(i);
-    rspec.quota = 16 * kPageSize;
-    Result<ObjectId> ring = k->sys_ring_create(g_ring_world.threads[0], rspec, 64);
-    if (!ring.ok()) {
-      return false;
-    }
-    g_ring_world.rings.push_back(ring.value());
-  }
-  return true;
-}
-
-void BM_HiStarRingSegOpsMT(::benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    if (!BuildRingWorld()) {
-      state.SkipWithError("world boot failed");
-      return;
-    }
-  }
-  const uint64_t batch = static_cast<uint64_t>(state.range(0));
-  size_t ti = static_cast<size_t>(state.thread_index());
-  // Globals are read only inside the iteration loop; its entry barrier
-  // orders thread 0's setup before the other threads touch them.
-  Kernel* k = nullptr;
-  ObjectId self = kInvalidObject;
-  ContainerEntry ce{};
-  ContainerEntry re{};
-  char buf[8] = {'r', 'i', 'n', 'g', 'b', 'n', 'c', 'h'};
-  for (auto _ : state) {
-    if (k == nullptr) {
-      k = g_ring_world.kernel.get();
-      self = g_ring_world.threads[ti];
-      ce = ContainerEntry{g_ring_world.root, g_ring_world.seg};
-      re = ContainerEntry{g_ring_world.root, g_ring_world.rings[ti]};
-    }
-    std::vector<RingOp> ops;
-    ops.reserve(batch);
-    for (uint64_t i = 0; i < batch; ++i) {
-      ops.push_back(RingOp{SyscallReq{SegmentReadReq{ce, buf, 8 * (i % 16), 8}}});
-    }
-    Result<uint64_t> t = k->sys_ring_submit(self, re, std::move(ops));
-    if (!t.ok() || k->sys_ring_wait(self, re, t.value(), 0) != Status::kOk) {
-      state.SkipWithError("ring submission failed");
-      return;
-    }
-    Result<std::vector<RingCompletion>> res = k->sys_ring_reap(self, re, 0);
-    if (!res.ok()) {
-      state.SkipWithError("reap failed");
-      return;
-    }
-    ::benchmark::DoNotOptimize(res.value().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-  if (state.thread_index() == 0) {
-    g_ring_world.kernel.reset();
-  }
-}
-BENCHMARK(BM_HiStarRingSegOpsMT)
-    ->Arg(4)
-    ->ArgName("batch")
-    ->ThreadRange(1, kRingMaxThreads)
-    ->UseRealTime()
-    ->Unit(::benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace histar::bench
 

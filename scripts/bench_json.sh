@@ -4,7 +4,7 @@
 # (bench/emit_trajectory.cc does the folding; the env block records nproc +
 # git sha, and a machine-readable caveat when the host has fewer than 8
 # CPUs):
-#   * BENCH_pr6.json — the PR 6 scaling rows (labels, objtable, IPC rings);
+#   * BENCH_pr6.json — the PR 6 scaling rows (labels, objtable);
 #   * BENCH_pr10.json — the PR 10 tracing-overhead rows: the warm lock-free
 #     batch and the dirty-1000 checkpoint, once from the normal build and
 #     once from a -DHISTAR_TRACE=0 build (rows tagged "@notrace"), checked
@@ -45,17 +45,12 @@ MIN_TIME="${BENCH_MIN_TIME:-0.05}"
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json > "$TMP/objtable.json"
 
-"$BUILD/bench_fig12_ipc" \
-  --benchmark_filter='BM_HiStarRingSegOps' \
-  --benchmark_min_time="$MIN_TIME" \
-  --benchmark_format=json > "$TMP/ipc.json"
-
 SHA="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 NPROC="$(nproc 2>/dev/null || echo 0)"
 
 "$BUILD/bench_emit_trajectory" \
   --out "$OUT" --pr 6 --sha "$SHA" --nproc "$NPROC" \
-  "$TMP/labels.json" "$TMP/objtable.json" "$TMP/ipc.json"
+  "$TMP/labels.json" "$TMP/objtable.json"
 
 # PR 10 tracing-overhead rows: the same two shapes from two trees. The warm
 # lock-free batch is the recorder's worst case (the event + histogram write

@@ -231,8 +231,10 @@ void WebServer::AcceptLoop() {
     }
     std::string resp = HandleConnection(conn.value());
     if (!resp.empty()) {
-      net_->Send(self_, conn.value(), resp.data(), resp.size());
+      // Count before replying: Send puts the bytes on the wire itself, so
+      // the client can read the response before Send returns.
       served_.fetch_add(1);
+      net_->Send(self_, conn.value(), resp.data(), resp.size());
     }
     net_->CloseSocket(self_, conn.value());
   }

@@ -38,8 +38,6 @@ std::string_view StatusName(Status s) {
       return "no-space";
     case Status::kCorrupt:
       return "corrupt";
-    case Status::kCancelled:
-      return "cancelled";
     case Status::kIoError:
       return "io-error";
     case Status::kNoMem:

@@ -30,7 +30,7 @@ enum class Status : int32_t {
   kCrashed = -14,           // simulated crash hit during I/O
   kNoSpace = -15,           // disk out of space
   kCorrupt = -16,           // on-disk structure failed validation
-  kCancelled = -17,         // linked ring op cancelled by a predecessor's failure
+  // -17 was the status of a cancelled async-ring op; it is not reused.
   kIoError = -18,           // device I/O error (injected or transient), no crash
   kNoMem = -19,             // host allocation failed on the store path
 };

@@ -63,8 +63,6 @@ const char* EventKindName(uint8_t kind) {
       return "syscall";
     case EventKind::kTableLock:
       return "table_lock";
-    case EventKind::kRingChain:
-      return "ring_chain";
     case EventKind::kEpochAdvance:
       return "epoch_advance";
     case EventKind::kEpochRetire:

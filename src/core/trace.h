@@ -85,15 +85,14 @@ enum class EventKind : uint8_t {
   kSyscall = 1,       // a=resolved object id, b=calling kernel thread id;
                       // aux=SyscallReq alternative index, code=Status
   kTableLock = 2,     // a=shard mask, b=exclusive?1:0, c=group size
-  kRingChain = 3,     // a=op count, b=proxy-execution?1:0, c=submitter id
-  kEpochAdvance = 4,  // a=items freed, b=global epoch after
-  kEpochRetire = 5,   // a=approx limbo size after the retire
-  kStoreCommit = 6,   // a=bytes written, b=device write ops;
+  kEpochAdvance = 3,  // a=items freed, b=global epoch after
+  kEpochRetire = 4,   // a=approx limbo size after the retire
+  kStoreCommit = 5,   // a=bytes written, b=device write ops;
                       // aux=StoreOp, code=Status
-  kFault = 7,         // a=fault class, b=fault detail; code=Status
-  kFatal = 8,         // a=detail; code=the fatal Status
+  kFault = 6,         // a=fault class, b=fault detail; code=Status
+  kFatal = 7,         // a=detail; code=the fatal Status
 };
-inline constexpr size_t kNumEventKinds = 9;
+inline constexpr size_t kNumEventKinds = 8;
 
 const char* EventKindName(uint8_t kind);
 

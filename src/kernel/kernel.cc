@@ -15,22 +15,16 @@
 #include <cstring>
 
 #include "src/core/trace.h"
-#include "src/kernel/ring.h"
 
 namespace histar {
 
 namespace {
 thread_local ObjectId g_current_thread = kInvalidObject;
-thread_local bool g_proxy_execution = false;
 thread_local bool g_published_reads = false;
 }  // namespace
 
 ObjectId CurrentThread::Get() { return g_current_thread; }
 void CurrentThread::Set(ObjectId id) { g_current_thread = id; }
-
-ProxyExecution::ProxyExecution() : prev_(g_proxy_execution) { g_proxy_execution = true; }
-ProxyExecution::~ProxyExecution() { g_proxy_execution = prev_; }
-bool ProxyExecution::Active() { return g_proxy_execution; }
 
 PublishedReadMode::PublishedReadMode() : prev_(g_published_reads) {
   g_published_reads = true;
@@ -77,15 +71,6 @@ Kernel::Kernel(size_t table_shards) : table_(table_shards) {
   root_ = root->id();
   TableLock lk(table_, TableLock::Mode::kExclusive, {root_});
   InsertObject(std::move(root));
-}
-
-Kernel::~Kernel() {
-  // Join the ring workers before any kernel state they execute against is
-  // torn down (they hold no leases on anything else; see ring.h). Workers
-  // never take ring_engine_mu_ themselves, so holding it across the join
-  // cannot deadlock — and destruction has no concurrent syscalls anyway.
-  MutexLock lk(&ring_engine_mu_);
-  ring_engine_.reset();
 }
 
 // ---- boot -------------------------------------------------------------------
@@ -354,11 +339,9 @@ void Kernel::DestroyObject(ObjectId id, std::vector<ObjectId>* destroyed_segment
         DestroyObject(child, destroyed_segments);
       }
     }
-  } else if (o->type() == ObjectType::kSegment || o->type() == ObjectType::kRing) {
-    // Both have volatile leaf-locked queue state keyed by their id (futex
-    // queues / ring queues) that is torn down only after the shard locks
-    // drop; the caller hands this list to WakeAllFutexes AND DropRings, and
-    // each ignores ids of the other kind.
+  } else if (o->type() == ObjectType::kSegment) {
+    // Futex queues keyed by the segment are torn down only after the shard
+    // locks drop: the caller hands this list to WakeAllFutexes.
     destroyed_segments->push_back(id);
   }
   // Destroyed threads need no flag or futex wake: the erase below makes
@@ -618,11 +601,9 @@ Status Kernel::DoContainerUnref(ObjectId self, ContainerEntry ce) {
     TableLock lk(table_, TableLock::Mode::kExclusive, TableLock::AllShards{});
     st = UnrefOnce(self, ce, /*allow_destroy=*/true, &need_all, &destroyed);
   }
-  // Futex wakeups and ring teardown strictly after the shard locks drop
-  // (lock hierarchy: futex_mu_ and the ring mutexes are leaves that never
-  // nest with shard locks).
+  // Futex wakeups strictly after the shard locks drop (lock hierarchy:
+  // futex_mu_ is a leaf that never nests with shard locks).
   WakeAllFutexes(destroyed);
-  DropRings(destroyed);
   return st;
 }
 

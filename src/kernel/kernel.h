@@ -50,8 +50,6 @@
 namespace histar {
 
 class PersistTarget;  // src/store: receives checkpoints / per-object syncs
-class RingEngine;     // src/kernel/ring.h: async-ring worker pool
-struct RingState;     // src/kernel/ring.h: volatile per-ring queue state
 
 // ---- Checkpoint wire types (kernel ↔ store) ---------------------------------
 //
@@ -101,7 +99,6 @@ class Kernel {
   // ablation bench pits 1 — the old single-lock design — against the
   // default under contended threads).
   explicit Kernel(size_t table_shards = ObjectTable::kDefaultShardCount);
-  ~Kernel();
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -183,23 +180,6 @@ class Kernel {
   // otherwise kOk — per-entry outcomes live in the completions.
   Status SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
                      std::span<SyscallRes> res);
-
-  // Executes a span of RingOps with linked-op semantics (PR 5): entries run
-  // in order under the same group-merging as SubmitBatch (consecutive
-  // batchable entries share ONE ascending-order TableLock), but an entry
-  // whose predecessor carries kRingLinked is cancelled (completion status
-  // kCancelled, nothing executed) when that predecessor did not complete
-  // kOk, and an entry with a `from` routing slot has the named value of its
-  // predecessor's completion written into its own `to` slot before it runs
-  // (inside the group lock — routing into len/off slots never changes the
-  // precomputed footprint). Entries routing into ⟨D,O⟩ id slots have
-  // data-dependent footprints and always start a fresh lock group. Mutates
-  // `ops` in place (the routed operands). Unlike SubmitBatch this does NOT
-  // charge syscall counters: ring submissions are charged to the submitter
-  // at sys_ring_submit time, so kernel workers never touch another thread's
-  // count stripe. This is the ring-worker execution path; it is public so
-  // tests and benches can drive chains synchronously.
-  Status SubmitChain(ObjectId self, std::span<RingOp> ops, std::span<SyscallRes> res);
 
   // ---- Threads (§3.1) ------------------------------------------------------
 
@@ -315,42 +295,6 @@ class Kernel {
                                    uint64_t off, uint64_t maxlen);
   Status sys_net_wait(ObjectId self, ContainerEntry dev, uint32_t timeout_ms);
   Status sys_console_write(ObjectId self, ContainerEntry dev, const std::string& text);
-
-  // ---- Rings (PR 5: async submission/completion queues) ---------------------
-  //
-  // A ring is a first-class kernel object (label, quota, container link);
-  // its queue state is volatile, like futex queues (src/kernel/ring.h). The
-  // label rules: creation follows the standard creation rule; submitting
-  // and reaping mutate queue state and require modify access (L_T ⊑ L_R ⊑
-  // L_T^J); waiting observes completion progress and requires observation.
-  // Every submitted op is re-checked against the SUBMITTER's thread labels
-  // when a kernel worker executes it — the ring conveys no privilege.
-
-  // Creates a ring bounding `capacity` ops in flight (0 → default).
-  Result<ObjectId> sys_ring_create(ObjectId self, const CreateSpec& spec, uint32_t capacity);
-  // Enqueues `ops` as one submission; returns the ticket (sequence number
-  // of the last op). kAgain when the capacity bound would be exceeded —
-  // reap first. Ring ops may not contain ring calls (no nested submission:
-  // a worker waiting on its own pool would deadlock it) or gate_invoke
-  // (gates cross protection domains on the *calling host thread*; a kernel
-  // worker cannot impersonate one). Buffers referenced by descriptors must
-  // stay valid until the matching completion is reaped, io_uring-style.
-  Result<uint64_t> sys_ring_submit(ObjectId self, ContainerEntry ring,
-                                   std::vector<RingOp> ops);
-  // Blocks until every op with seq <= ticket has completed (0 → never
-  // blocks). timeout_ms == 0 waits indefinitely; halt/alert interrupt like
-  // futex waits (kHalted / kAgain).
-  Status sys_ring_wait(ObjectId self, ContainerEntry ring, uint64_t ticket,
-                       uint32_t timeout_ms);
-  // Pops up to `max` completions (0 → all pending), freeing capacity.
-  Result<std::vector<RingCompletion>> sys_ring_reap(ObjectId self, ContainerEntry ring,
-                                                    uint32_t max);
-
-  // Test/bench introspection: highest op seq whose completion has been
-  // published for `ring`. Reads only the volatile ring state under its leaf
-  // mutex — NO TableLock — so lock-accounting tests can poll for chain
-  // completion without perturbing the acquisition counter.
-  uint64_t ring_completed_ticket(ObjectId ring) const;
 
   // ---- Flight-recorder export (PR 10) ---------------------------------------
 
@@ -531,25 +475,6 @@ class Kernel {
   };
   static BatchPlan PlanOf(ObjectId self, const SyscallReq& req);
 
-  // Grows a lock group over consecutive batchable requests starting at `i`
-  // (whose plan is `first`, already computed): unions shard masks,
-  // escalates to exclusive if any member mutates, and preallocates object
-  // ids for create entries — AllocObjectId probes a shard itself, so this
-  // runs with NO lock held. `req_at(j)` yields request j of `n`;
-  // `stop_at(j)` lets the chain executor cut a group before id-routed
-  // entries. With `split_lockfree`, a group stays homogeneous in
-  // BatchPlan::lockfree so SubmitBatch can run lock-free groups without a
-  // TableLock; SubmitChain passes false and runs everything locked (ring
-  // submission already paid the fixed validation locks, and chain lock
-  // parity with the sync path is a pinned PR 5 property). Returns one past
-  // the group's last member. ONE copy of the planning logic, shared by
-  // SubmitBatch and SubmitChain so the two submission paths cannot drift
-  // (kernel_batch.cc).
-  template <typename ReqAt, typename StopAt>
-  size_t GrowBatchGroup(ObjectId self, size_t i, size_t n, const BatchPlan& first,
-                        const ReqAt& req_at, const StopAt& stop_at, bool split_lockfree,
-                        uint64_t* mask, bool* exclusive, std::vector<ObjectId>* new_ids);
-
   // Executes one batchable request under the group TableLock (the caller
   // holds every shard in the request's plan, exclusive if the group
   // mutates). Create-type requests pop their preallocated id from `new_ids`
@@ -639,8 +564,6 @@ class Kernel {
       REQUIRES_SHARED(table_.cap());
   Status ConsoleWriteLocked(ObjectId self, ContainerEntry dev, const std::string& text)
       REQUIRES(table_.cap());
-  Result<ObjectId> RingCreateLocked(ObjectId self, const CreateSpec& spec, uint32_t capacity,
-                                    ObjectId new_id) REQUIRES(table_.cap());
 
   Status DoThreadAlert(ObjectId self, ContainerEntry thread, uint64_t code);
   Status DoContainerUnref(ObjectId self, ContainerEntry ce);
@@ -665,23 +588,6 @@ class Kernel {
   // to capture the reader's raised label, then lock-free snapshot + per-
   // event Leq checks (the registry's warm path).
   void DoTraceRead(ObjectId self, uint32_t max_events, TraceReadRes* out);
-
-  // Ring syscall bodies (src/kernel/ring.cc). All unbatchable: submit and
-  // reap leave the TableLock to touch the leaf-locked queue state, wait
-  // sleeps.
-  Result<uint64_t> DoRingSubmit(ObjectId self, ContainerEntry ring,
-                                const std::vector<RingOp>& ops);
-  Status DoRingWait(ObjectId self, ContainerEntry ring, uint64_t ticket, uint32_t timeout_ms);
-  Result<std::vector<RingCompletion>> DoRingReap(ObjectId self, ContainerEntry ring,
-                                                 uint32_t max);
-
-  // Lazily starts the worker pool (create=true); never starts it on pure
-  // reads. Kernels that never touch a ring spawn no worker threads.
-  RingEngine* ring_engine(bool create) const;
-  // Tears down the volatile queue state of destroyed rings: marks them dead
-  // and wakes their waiters. Called, like WakeAllFutexes, strictly after
-  // the shard locks drop (ring state mutexes are leaves of the hierarchy).
-  void DropRings(const std::vector<ObjectId>& ids);
 
   // Wakes futex waiters on a destroyed segment so they fail promptly.
   void WakeAllFutexes(const std::vector<ObjectId>& segs);
@@ -809,13 +715,6 @@ class Kernel {
   bool restore_ids_stable_ = true;
 
   PersistTarget* persist_ = nullptr;
-
-  // The async-ring worker pool (PR 5), created on first ring submission so
-  // ring-free kernels spawn no worker threads. Declared last: workers
-  // execute syscalls against all of the state above, so they must be joined
-  // first at destruction (~Kernel also resets it explicitly).
-  mutable Mutex ring_engine_mu_;
-  mutable std::unique_ptr<RingEngine> ring_engine_ GUARDED_BY(ring_engine_mu_);
 };
 
 // Interface the kernel uses to push state to the single-level store.
@@ -845,27 +744,6 @@ class PersistTarget {
   // at recovery.
   virtual Status SyncPages(ObjectId id, uint64_t offset,
                            const std::vector<uint8_t>& pages) = 0;
-};
-
-// RAII marker: the calling HOST thread is executing syscalls on behalf of
-// another kernel thread (ring workers draining a submitter's descriptors).
-// While active, the per-thread fault-hint slots are neither read nor
-// written — a worker must not seed its lock sets from, or overwrite, the
-// submitter's own last-fault footprint (the submitter may be faulting
-// concurrently on its own host thread). Count stripes need no equivalent
-// guard: SubmitChain performs no counting at all (sys_ring_submit charges
-// the submitter up front, on the submitter's own host thread).
-class ProxyExecution {
- public:
-  ProxyExecution();
-  ~ProxyExecution();
-  ProxyExecution(const ProxyExecution&) = delete;
-  ProxyExecution& operator=(const ProxyExecution&) = delete;
-
-  static bool Active();
-
- private:
-  bool prev_;
 };
 
 // RAII marker: Kernel::Get on this host thread resolves through the object

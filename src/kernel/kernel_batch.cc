@@ -29,7 +29,7 @@ template <typename T, typename... Ts>
 inline constexpr bool kIsAny = (std::is_same_v<T, Ts> || ...);
 
 // Compile-time SyscallReq alternative index of T (the trace event's
-// syscall-kind field; also the wire tag).
+// syscall-kind field).
 template <typename T, size_t I = 0>
 constexpr size_t ReqIndexOf() {
   if constexpr (std::is_same_v<T, std::variant_alternative_t<I, SyscallReq>>) {
@@ -59,7 +59,7 @@ inline void TraceOne(const SyscallReq& req, const SyscallRes& res, ObjectId self
 template <typename T>
 inline constexpr bool kCreatesObject =
     kIsAny<T, ThreadCreateReq, ContainerCreateReq, SegmentCreateReq, SegmentCopyReq,
-           AsCreateReq, GateCreateReq, RingCreateReq>;
+           AsCreateReq, GateCreateReq>;
 
 }  // namespace
 
@@ -124,7 +124,7 @@ Kernel::BatchPlan Kernel::PlanOf(ObjectId self, const SyscallReq& req) {
           ids({self, r.d, r.o});
           plan.mutates = true;
         } else if constexpr (kIsAny<T, ThreadCreateReq, ContainerCreateReq, SegmentCreateReq,
-                                    AsCreateReq, GateCreateReq, RingCreateReq>) {
+                                    AsCreateReq, GateCreateReq>) {
           ids({self, r.spec.container});
           plan.mutates = true;
           plan.needs_new_id = true;  // the preallocated id joins the footprint
@@ -257,9 +257,6 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
                                    v.ok() ? v.take() : std::vector<uint64_t>{}};
         } else if constexpr (std::is_same_v<T, ConsoleWriteReq>) {
           *out = ConsoleWriteRes{ConsoleWriteLocked(self, r.dev, r.text)};
-        } else if constexpr (std::is_same_v<T, RingCreateReq>) {
-          Result<ObjectId> v = RingCreateLocked(self, r.spec, r.capacity, nid);
-          *out = RingCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
         } else {
           // PlanOf marked this request batchable but no Locked body exists —
           // dispatcher drift. The completion stays monostate; wrappers and
@@ -305,15 +302,6 @@ void Kernel::ExecUnbatched(ObjectId self, const SyscallReq& req, SyscallRes* out
           *out = SyncObjectRes{DoSyncObject(self, r.ce)};
         } else if constexpr (std::is_same_v<T, SyncPagesReq>) {
           *out = SyncPagesRes{DoSyncPages(self, r.ce, r.offset, r.len)};
-        } else if constexpr (std::is_same_v<T, RingSubmitReq>) {
-          Result<uint64_t> v = DoRingSubmit(self, r.ring, r.ops);
-          *out = RingSubmitRes{v.status(), v.ok() ? v.value() : 0};
-        } else if constexpr (std::is_same_v<T, RingWaitReq>) {
-          *out = RingWaitRes{DoRingWait(self, r.ring, r.ticket, r.timeout_ms)};
-        } else if constexpr (std::is_same_v<T, RingReapReq>) {
-          Result<std::vector<RingCompletion>> v = DoRingReap(self, r.ring, r.max);
-          *out = RingReapRes{v.status(),
-                             v.ok() ? v.take() : std::vector<RingCompletion>{}};
         } else if constexpr (std::is_same_v<T, TraceReadReq>) {
           // Unbatchable by design: the body takes its own shared TableLock
           // to resolve the reader, then walks the recorder lock-free.
@@ -325,43 +313,6 @@ void Kernel::ExecUnbatched(ObjectId self, const SyscallReq& req, SyscallRes* out
         }
       },
       req);
-}
-
-template <typename ReqAt, typename StopAt>
-size_t Kernel::GrowBatchGroup(ObjectId self, size_t i, size_t n, const BatchPlan& first,
-                              const ReqAt& req_at, const StopAt& stop_at, bool split_lockfree,
-                              uint64_t* mask, bool* exclusive, std::vector<ObjectId>* new_ids) {
-  // Union the shard masks of consecutive batchable requests, escalate to
-  // exclusive if anything mutates, and preallocate object ids for create
-  // entries NOW — AllocObjectId probes a shard itself and must run before
-  // the group lock (kernel.h helper contract). With split_lockfree, a group
-  // is additionally homogeneous in lockfree-ness so SubmitBatch can run a
-  // lock-free group with no TableLock at all (SubmitChain passes false and
-  // keeps mixed groups under one lock — ring lock parity, PR 5).
-  size_t j = i;
-  while (j < n) {
-    if (j > i && stop_at(j)) {
-      break;
-    }
-    BatchPlan p = (j == i) ? first : PlanOf(self, req_at(j));
-    if (!p.batchable) {
-      break;
-    }
-    if (split_lockfree && j > i && p.lockfree != first.lockfree) {
-      break;
-    }
-    for (size_t k = 0; k < p.nids; ++k) {
-      *mask |= table_.ShardMaskOf(p.ids[k]);
-    }
-    if (p.needs_new_id) {
-      Result<ObjectId> id = AllocObjectId();
-      new_ids->push_back(id.value());
-      *mask |= table_.ShardMaskOf(id.value());
-    }
-    *exclusive |= p.mutates;
-    ++j;
-  }
-  return j;
 }
 
 Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
@@ -386,12 +337,31 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
       ++i;
       continue;
     }
+    // Grow the group over consecutive batchable requests of the same
+    // lock-freedom: union their shard masks, escalate to exclusive if any
+    // member mutates, and preallocate object ids for create entries NOW —
+    // AllocObjectId probes a shard itself and must run before the group
+    // lock (kernel.h helper contract).
     uint64_t mask = 0;
     bool exclusive = false;
     std::vector<ObjectId> new_ids;
-    size_t j = GrowBatchGroup(
-        self, i, reqs.size(), first, [&](size_t k) -> const SyscallReq& { return reqs[k]; },
-        [](size_t) { return false; }, /*split_lockfree=*/true, &mask, &exclusive, &new_ids);
+    size_t j = i;
+    while (j < reqs.size()) {
+      BatchPlan p = (j == i) ? first : PlanOf(self, reqs[j]);
+      if (!p.batchable || p.lockfree != first.lockfree) {
+        break;
+      }
+      for (size_t k = 0; k < p.nids; ++k) {
+        mask |= table_.ShardMaskOf(p.ids[k]);
+      }
+      if (p.needs_new_id) {
+        Result<ObjectId> id = AllocObjectId();
+        new_ids.push_back(id.value());
+        mask |= table_.ShardMaskOf(id.value());
+      }
+      exclusive |= p.mutates;
+      ++j;
+    }
     // ONE clock pair per group: per-entry events record with a pending
     // duration and FinishSyscallGroup patches the amortized share in —
     // that, plus zero shared atomics in the recorder, is what keeps the
@@ -436,118 +406,6 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
       trace::RecordEvent(trace::EventKind::kTableLock, mask,
                          exclusive ? 1 : 0, j - i, 0, 0, 0, t0);
     }
-    trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
-    i = j;
-  }
-  return Status::kOk;
-}
-
-namespace {
-
-// Chain bookkeeping for entry k of a SubmitChain span: cancels it (filling
-// its completion) when a linked predecessor did not complete kOk, and
-// otherwise applies its operand routing. Returns false when the entry was
-// cancelled and must not execute. Runs either before group planning (group
-// leaders — which is what lets id-routed entries replan on routed values)
-// or inside the group lock (members — their routing never touches ids, so
-// the precomputed footprint stays valid).
-bool PrepareChainEntry(std::span<RingOp> ops, std::span<SyscallRes> res, size_t k) {
-  if (k == 0) {
-    return true;
-  }
-  const bool linked = (ops[k - 1].flags & kRingLinked) != 0;
-  if (linked && ResStatus(res[k - 1]) != Status::kOk) {
-    // Predecessor failed (or was itself cancelled — kCancelled propagates
-    // down the rest of the chain through this same test).
-    MakeRes(ops[k].req, Status::kCancelled, &res[k]);
-    return false;
-  }
-  if (ops[k].from != RingSlot::kNone) {
-    uint64_t v = 0;
-    if (!linked || !ResSlotRead(res[k - 1], ops[k].from, &v) ||
-        !ReqSlotWrite(&ops[k].req, ops[k].to, v)) {
-      MakeRes(ops[k].req, Status::kInvalidArg, &res[k]);
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Status Kernel::SubmitChain(ObjectId self, std::span<RingOp> ops, std::span<SyscallRes> res) {
-  if (res.size() < ops.size()) {
-    return Status::kInvalidArg;
-  }
-  // NO CountSyscalls here — see the contract in kernel.h (sys_ring_submit
-  // charged the submitter already; direct callers account for themselves).
-  //
-  // One kRingChain event per chain execution: when a ring worker drives
-  // this under ProxyExecution the event lands in the WORKER's slot ring
-  // with b=1, which is exactly the attribution the trace needs to tell
-  // proxy execution from the submitter's own syscalls.
-  trace::RecordEvent(trace::EventKind::kRingChain, ops.size(),
-                     ProxyExecution::Active() ? 1 : 0, self);
-  size_t i = 0;
-  while (i < ops.size()) {
-    if (!PrepareChainEntry(ops, res, i)) {
-      ++i;
-      continue;
-    }
-    BatchPlan first = PlanOf(self, ops[i].req);
-    if (!first.batchable) {
-      uint64_t t0 = trace::RecordNowNs();
-      uint64_t g0 = trace::BeginSyscallGroup();
-      trace::ResetTaint();
-      ExecUnbatched(self, ops[i].req, &res[i]);
-      TraceOne(ops[i].req, res[i], self, t0);
-      trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
-      ++i;
-      continue;
-    }
-    // Group-grow exactly as SubmitBatch (same helper) — with one extra stop
-    // condition: an entry routing a predecessor's result into a ⟨D,O⟩ id
-    // slot has a data-dependent footprint (PlanOf would read the stale
-    // ids), so it must lead its own group, planned after PrepareChainEntry
-    // has written the routed value. len/off routing leaves footprints
-    // untouched and stays in-group.
-    uint64_t mask = 0;
-    bool exclusive = false;
-    std::vector<ObjectId> new_ids;
-    size_t j = GrowBatchGroup(
-        self, i, ops.size(), first,
-        [&](size_t k) -> const SyscallReq& { return ops[k].req; },
-        [&](size_t k) { return RingSlotNamesIds(ops[k].to); }, /*split_lockfree=*/false, &mask,
-        &exclusive, &new_ids);
-    uint64_t t0 = trace::RecordNowNs();
-    uint64_t g0 = trace::BeginSyscallGroup();
-    size_t executed = 0;
-    {
-      // One TableLock for the whole group: a linked get_len → read chain
-      // pays exactly the lock round-trips of the equivalent sync batch
-      // (the PR 5 acceptance property, tests/kernel/ring_test.cc). Routing
-      // and cancellation for members happen inside the lock, between
-      // ExecLocked calls — the predecessor's completion is final by then.
-      TableLock lk(
-          table_,
-          exclusive ? TableLock::Mode::kExclusive : TableLock::Mode::kShared,
-          mask, TableLock::ByMask{});
-      size_t next_new_id = 0;
-      for (size_t k = i; k < j; ++k) {
-        if (k > i && !PrepareChainEntry(ops, res, k)) {
-          // Cancelled mid-group. A cancelled create leaves its preallocated
-          // id unconsumed, which is harmless — ids are opaque names, and
-          // enough were preallocated either way.
-          continue;
-        }
-        trace::ResetTaint();
-        ExecLocked(self, ops[k].req, &res[k], new_ids, &next_new_id);
-        TraceOne(ops[k].req, res[k], self, t0);
-        ++executed;
-      }
-    }
-    trace::RecordEvent(trace::EventKind::kTableLock, mask, exclusive ? 1 : 0,
-                       executed, 0, 0, 0, t0);
     trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
     i = j;
   }
@@ -858,29 +716,6 @@ Status Kernel::sys_sync_object(ObjectId self, ContainerEntry ce) {
 Status Kernel::sys_sync_pages(ObjectId self, ContainerEntry ce, uint64_t offset,
                               uint64_t len) {
   return SubmitOne<SyncPagesRes>(this, self, SyncPagesReq{ce, offset, len}).status;
-}
-
-Result<ObjectId> Kernel::sys_ring_create(ObjectId self, const CreateSpec& spec,
-                                         uint32_t capacity) {
-  RingCreateRes r = SubmitOne<RingCreateRes>(this, self, RingCreateReq{spec, capacity});
-  return ToResult(r.status, std::move(r.id));
-}
-
-Result<uint64_t> Kernel::sys_ring_submit(ObjectId self, ContainerEntry ring,
-                                         std::vector<RingOp> ops) {
-  RingSubmitRes r = SubmitOne<RingSubmitRes>(this, self, RingSubmitReq{ring, std::move(ops)});
-  return ToResult(r.status, std::move(r.ticket));
-}
-
-Status Kernel::sys_ring_wait(ObjectId self, ContainerEntry ring, uint64_t ticket,
-                             uint32_t timeout_ms) {
-  return SubmitOne<RingWaitRes>(this, self, RingWaitReq{ring, ticket, timeout_ms}).status;
-}
-
-Result<std::vector<RingCompletion>> Kernel::sys_ring_reap(ObjectId self, ContainerEntry ring,
-                                                          uint32_t max) {
-  RingReapRes r = SubmitOne<RingReapRes>(this, self, RingReapReq{ring, max});
-  return ToResult(r.status, std::move(r.completions));
 }
 
 TraceReadRes Kernel::sys_trace_read(ObjectId self, uint32_t max_events) {

@@ -212,15 +212,6 @@ bool Kernel::SerializeObjectLocked(const Object& o, std::vector<uint8_t>* out,
       PutU8(out, static_cast<uint8_t>(d.kind()));
       break;
     }
-    case ObjectType::kRing: {
-      // Only the persistent identity: capacity. Queue state (pending
-      // submissions, unreaped completions) is volatile — descriptors
-      // reference caller memory of a boot that no longer exists — so a
-      // restored ring comes back empty, like futex queues and NIC rings.
-      const Ring& r = static_cast<const Ring&>(o);
-      PutU32(out, r.capacity());
-      break;
-    }
   }
   if (meta_len != nullptr) {
     *meta_len = meta != 0 ? meta : out->size();
@@ -405,11 +396,6 @@ Status Kernel::RestoreObject(const std::vector<uint8_t>& bytes) {
     case ObjectType::kDevice: {
       uint8_t kind = r.U8();
       obj = std::make_unique<Device>(id, label_id, static_cast<DeviceKind>(kind));
-      break;
-    }
-    case ObjectType::kRing: {
-      uint32_t capacity = r.U32();
-      obj = std::make_unique<Ring>(id, label_id, capacity);
       break;
     }
   }

@@ -104,12 +104,8 @@ Status Kernel::SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t le
     return Status::kHalted;
   }
   // A resize can move/shrink the bytes a cached fault translation points
-  // at; drop this host thread's hint (other slots' hints re-verify on use;
-  // a proxying ring worker leaves the submitter's slot alone — it self-
-  // recovers through the same re-verification).
-  if (!ProxyExecution::Active()) {
-    CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
-  }
+  // at; drop this host thread's hint (other slots' hints re-verify on use).
+  CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
   Result<Object*> o = ResolveEntry(*t, ce);
   if (!o.ok()) {
     return o.status();
@@ -248,12 +244,8 @@ Status Kernel::AsSetLocked(ObjectId self, ContainerEntry ce,
   }
   // Remapping changes what a fault at a cached VA resolves to; drop this
   // host thread's last-fault hint (hints are self-verifying, so other
-  // slots' stale hints merely cost them one widened discovery round, and a
-  // proxying ring worker leaves the submitter's slot alone for the same
-  // reason).
-  if (!ProxyExecution::Active()) {
-    CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
-  }
+  // slots' stale hints merely cost them one widened discovery round).
+  CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
   Result<Object*> o = ResolveEntry(*t, ce);
   if (!o.ok()) {
     return o.status();
@@ -324,15 +316,9 @@ Status Kernel::AsAccessOnce(ObjectId self, uint64_t va, void* buf, uint64_t len,
   ObjectId as_id = kInvalidObject;
   ContainerEntry seg{};
   FaultHintSlot& hint = CurrentFaultHint();
-  // Ring workers execute under ProxyExecution (kernel.h): they must neither
-  // seed their lock sets from nor overwrite a fault hint — the slot is the
-  // HOST thread's (a worker's slot would cache a footprint for whatever
-  // submitter it last proxied), and the submitter's own warm-hit guarantee
-  // (one lock round) must survive workers faulting through unrelated
-  // mappings on its behalf. The `thread == self` check below self-verifies
-  // the slot against reuse either way.
-  const bool use_hint = !ProxyExecution::Active();
-  if (use_hint && hint.thread.load(std::memory_order_relaxed) == self) {
+  // The slot is the HOST thread's; the `thread == self` check self-verifies
+  // it against a host thread acting as another kernel thread, or reuse.
+  if (hint.thread.load(std::memory_order_relaxed) == self) {
     as_id = hint.as.load(std::memory_order_relaxed);
     seg.container = hint.seg_ct.load(std::memory_order_relaxed);
     seg.object = hint.seg_obj.load(std::memory_order_relaxed);
@@ -378,12 +364,10 @@ Status Kernel::AsAccessOnce(ObjectId self, uint64_t va, void* buf, uint64_t len,
       } else {
         CopyBytes(buf, t->local_segment().data() + off, len);
       }
-      if (use_hint) {
-        hint.as.store(t->address_space().object, std::memory_order_relaxed);
-        hint.seg_ct.store(kInvalidObject, std::memory_order_relaxed);
-        hint.seg_obj.store(kInvalidObject, std::memory_order_relaxed);
-        hint.thread.store(self, std::memory_order_relaxed);
-      }
+      hint.as.store(t->address_space().object, std::memory_order_relaxed);
+      hint.seg_ct.store(kInvalidObject, std::memory_order_relaxed);
+      hint.seg_obj.store(kInvalidObject, std::memory_order_relaxed);
+      hint.thread.store(self, std::memory_order_relaxed);
       return Status::kOk;
     }
     if (!lk.Covers(m->segment.container) || !lk.Covers(m->segment.object)) {
@@ -418,12 +402,10 @@ Status Kernel::AsAccessOnce(ObjectId self, uint64_t va, void* buf, uint64_t len,
     }
     // Remember the discovered footprint so the next fault through this
     // mapping seeds a covering round 0 (one TableLock instead of two-three).
-    if (use_hint) {
-      hint.as.store(t->address_space().object, std::memory_order_relaxed);
-      hint.seg_ct.store(m->segment.container, std::memory_order_relaxed);
-      hint.seg_obj.store(m->segment.object, std::memory_order_relaxed);
-      hint.thread.store(self, std::memory_order_relaxed);
-    }
+    hint.as.store(t->address_space().object, std::memory_order_relaxed);
+    hint.seg_ct.store(m->segment.container, std::memory_order_relaxed);
+    hint.seg_obj.store(m->segment.object, std::memory_order_relaxed);
+    hint.thread.store(self, std::memory_order_relaxed);
     return Status::kOk;
   }
 }

@@ -103,11 +103,8 @@ Status Kernel::SelfSetAsLocked(ObjectId self, ContainerEntry as) {
   }
   t->set_address_space_internal(as);
   // Switching address spaces invalidates the cached last-fault footprint
-  // (host-thread slot; a proxying worker skips it — self-verification
-  // covers the submitter's stale entry).
-  if (!ProxyExecution::Active()) {
-    CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
-  }
+  // (host-thread slot).
+  CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
   MarkDirty(self);
   return Status::kOk;
 }

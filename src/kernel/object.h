@@ -345,35 +345,6 @@ class NetPort {
   virtual bool WaitForFrame(uint32_t timeout_ms) = 0;
 };
 
-// Per-entry storage charge for a ring (stands in for the SQ/CQ slots the
-// real kernel would pin): a ring of capacity N is charged N of these against
-// its quota at creation.
-inline constexpr uint64_t kRingEntryCharge = 64;
-
-// Ring: an asynchronous submission/completion queue pair (PR 5, io_uring's
-// SQ/CQ shape applied to the labeled object model). The *object* carries
-// only the persistent identity — label, quota, capacity; the queue state
-// itself (pending submissions, unreaped completions, waiter condvars) is
-// volatile kernel state keyed by this object's id (src/kernel/ring.h),
-// exactly as futex queues are volatile state keyed by a segment id. A
-// restored ring therefore comes back empty, the way a rebooted NIC comes
-// back with empty descriptor rings.
-class Ring : public Object {
- public:
-  Ring(ObjectId id, LabelId label_id, uint32_t capacity)
-      : Object(id, ObjectType::kRing, label_id), capacity_(capacity) {}
-
-  // Upper bound on ops in flight (submitted but not yet reaped).
-  uint32_t capacity() const { return capacity_; }
-
-  uint64_t OwnUsage() const override {
-    return kObjectOverheadBytes + uint64_t{capacity_} * kRingEntryCharge;
-  }
-
- private:
-  const uint32_t capacity_;
-};
-
 class Device : public Object {
  public:
   Device(ObjectId id, LabelId label_id, DeviceKind kind)

@@ -1,13 +1,8 @@
-// Wire encode/decode for the batched syscall descriptors (syscall_abi.h).
-//
-// The archives fold over each descriptor's AbiFields tuple, so the field
-// lists in the header are the single source of truth for the layout. Encode
-// is not on the syscall hot path (SubmitBatch consumes in-memory descriptor
-// spans directly); it exists so descriptor batches can be logged, shipped
-// between address spaces, and property-tested for round-trip stability.
+// Name table and completion helper for the batched syscall descriptors
+// (syscall_abi.h).
 #include "src/kernel/syscall_abi.h"
 
-#include <cstring>
+#include <type_traits>
 
 namespace histar {
 
@@ -27,8 +22,7 @@ constexpr const char* kSyscallKindNames[] = {
     "as_access", "gate_create", "gate_invoke", "gate_get_closure",
     "futex_wait", "futex_wake", "net_mac_addr", "net_transmit",
     "net_receive", "net_wait", "console_write", "sync", "sync_object",
-    "sync_pages", "ring_create", "ring_submit", "ring_wait", "ring_reap",
-    "trace_read",
+    "sync_pages", "trace_read",
 };
 static_assert(sizeof(kSyscallKindNames) / sizeof(kSyscallKindNames[0]) ==
                   kNumSyscallKinds,
@@ -38,341 +32,6 @@ static_assert(sizeof(kSyscallKindNames) / sizeof(kSyscallKindNames[0]) ==
 const char* SyscallKindName(size_t index) {
   return index < kNumSyscallKinds ? kSyscallKindNames[index] : "unknown";
 }
-
-namespace {
-
-// Default-constructs variant alternative `idx` of V (skipping monostate
-// semantics — callers pass the wire index directly). Declared ahead of the
-// archives because embedded SyscallReq/SyscallRes fields (RingOp,
-// RingCompletion) decode through it recursively.
-template <typename V, size_t... I>
-bool EmplaceByIndex(size_t idx, V* out, std::index_sequence<I...>) {
-  bool hit = false;
-  ((idx == I ? (out->template emplace<I>(), hit = true) : false), ...);
-  return hit;
-}
-
-template <typename V>
-bool EmplaceByIndex(size_t idx, V* out) {
-  return EmplaceByIndex(idx, out, std::make_index_sequence<std::variant_size_v<V>>{});
-}
-
-// Ring submissions nest descriptors (a RingOp embeds a SyscallReq); the
-// kernel rejects ring ops inside ring ops, but the decoder walks untrusted
-// bytes and must bound recursion itself.
-constexpr int kMaxDescriptorNesting = 8;
-
-class Encoder {
- public:
-  explicit Encoder(std::vector<uint8_t>* out) : out_(out) {}
-
-  template <typename... Ts>
-  void Fields(std::tuple<Ts&...> t) {
-    std::apply([this](auto&... f) { (Put(f), ...); }, t);
-  }
-
-  void Put(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void Put(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void Put(int64_t v) { Put(static_cast<uint64_t>(v)); }
-  void Put(bool v) { out_->push_back(v ? 1 : 0); }
-  void Put(Status v) { Put(static_cast<uint32_t>(static_cast<int32_t>(v))); }
-  void Put(ObjectType v) { out_->push_back(static_cast<uint8_t>(v)); }
-  void Put(void* v) { Put(static_cast<uint64_t>(reinterpret_cast<uintptr_t>(v))); }
-  void Put(const void* v) { Put(static_cast<uint64_t>(reinterpret_cast<uintptr_t>(v))); }
-  void Put(const Label& v) { v.Serialize(out_); }
-  void Put(const std::string& v) {
-    Put(static_cast<uint32_t>(v.size()));
-    out_->insert(out_->end(), v.begin(), v.end());
-  }
-  void Put(const std::vector<uint8_t>& v) {
-    Put(static_cast<uint32_t>(v.size()));
-    out_->insert(out_->end(), v.begin(), v.end());
-  }
-  void Put(const std::array<uint8_t, 6>& v) {
-    out_->insert(out_->end(), v.begin(), v.end());
-  }
-  void Put(RingSlot v) { out_->push_back(static_cast<uint8_t>(v)); }
-  // Embedded variants (RingOp::req, RingCompletion::res): raw alternative
-  // index, then fields. The completion index is NOT shifted the way the
-  // top-level EncodeRes tag is, so an unfilled (monostate) completion
-  // inside a RingCompletion has a wire form (index 0, no fields).
-  void Put(const SyscallReq& v) {
-    Put(static_cast<uint32_t>(v.index()));
-    SyscallReq tmp = v;
-    std::visit([this](auto& alt) { Fields(AbiFields(alt)); }, tmp);
-  }
-  void Put(const SyscallRes& v) {
-    Put(static_cast<uint32_t>(v.index()));
-    SyscallRes tmp = v;
-    std::visit(
-        [this](auto& alt) {
-          if constexpr (!std::is_same_v<std::decay_t<decltype(alt)>, std::monostate>) {
-            Fields(AbiFields(alt));
-          }
-        },
-        tmp);
-  }
-  template <typename T>
-  void Put(const std::vector<T>& v) {
-    Put(static_cast<uint32_t>(v.size()));
-    for (const T& e : v) {
-      Put(e);
-    }
-  }
-  // Composite descriptors recurse through their own field lists. The
-  // const_cast is sound: AbiFields only forms references and Put only reads
-  // through them.
-  template <typename T>
-  void Put(const T& v) {
-    Fields(AbiFields(const_cast<T&>(v)));
-  }
-
- private:
-  std::vector<uint8_t>* out_;
-};
-
-class Decoder {
- public:
-  Decoder(const uint8_t* data, size_t len) : data_(data), len_(len) {}
-
-  bool failed() const { return fail_; }
-  size_t pos() const { return pos_; }
-
-  template <typename... Ts>
-  void Fields(std::tuple<Ts&...> t) {
-    std::apply([this](auto&... f) { (Get(f), ...); }, t);
-  }
-
-  void Get(uint64_t& v) {
-    if (!Need(8)) {
-      return;
-    }
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
-    }
-    pos_ += 8;
-  }
-  void Get(uint32_t& v) {
-    if (!Need(4)) {
-      return;
-    }
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
-    }
-    pos_ += 4;
-  }
-  void Get(int64_t& v) {
-    uint64_t u = 0;
-    Get(u);
-    v = static_cast<int64_t>(u);
-  }
-  void Get(bool& v) {
-    if (!Need(1)) {
-      return;
-    }
-    v = data_[pos_++] != 0;
-  }
-  void Get(Status& v) {
-    uint32_t u = 0;
-    Get(u);
-    v = static_cast<Status>(static_cast<int32_t>(u));
-  }
-  void Get(ObjectType& v) {
-    if (!Need(1)) {
-      return;
-    }
-    uint8_t raw = data_[pos_++];
-    if (raw >= kNumObjectTypes) {
-      fail_ = true;
-      return;
-    }
-    v = static_cast<ObjectType>(raw);
-  }
-  void Get(void*& v) {
-    uint64_t u = 0;
-    Get(u);
-    v = reinterpret_cast<void*>(static_cast<uintptr_t>(u));
-  }
-  void Get(const void*& v) {
-    uint64_t u = 0;
-    Get(u);
-    v = reinterpret_cast<const void*>(static_cast<uintptr_t>(u));
-  }
-  void Get(Label& v) {
-    size_t consumed = 0;
-    if (fail_ || !Label::Deserialize(data_ + pos_, len_ - pos_, &consumed, &v)) {
-      fail_ = true;
-      return;
-    }
-    pos_ += consumed;
-  }
-  void Get(std::string& v) {
-    uint32_t n = 0;
-    Get(n);
-    if (!Need(n)) {
-      return;
-    }
-    v.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-  }
-  void Get(std::vector<uint8_t>& v) {
-    uint32_t n = 0;
-    Get(n);
-    if (!Need(n)) {
-      return;
-    }
-    v.assign(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-  }
-  void Get(std::array<uint8_t, 6>& v) {
-    if (!Need(6)) {
-      return;
-    }
-    memcpy(v.data(), data_ + pos_, 6);
-    pos_ += 6;
-  }
-  void Get(RingSlot& v) {
-    if (!Need(1)) {
-      return;
-    }
-    uint8_t raw = data_[pos_++];
-    if (raw > static_cast<uint8_t>(RingSlot::kContainer)) {
-      fail_ = true;
-      return;
-    }
-    v = static_cast<RingSlot>(raw);
-  }
-  void Get(SyscallReq& v) {
-    uint32_t tag = 0;
-    Get(tag);
-    if (fail_ || ++depth_ > kMaxDescriptorNesting || !EmplaceByIndex(tag, &v)) {
-      fail_ = true;
-      return;
-    }
-    std::visit([this](auto& alt) { Fields(AbiFields(alt)); }, v);
-    --depth_;
-  }
-  void Get(SyscallRes& v) {
-    uint32_t tag = 0;
-    Get(tag);
-    if (fail_ || ++depth_ > kMaxDescriptorNesting || !EmplaceByIndex(tag, &v)) {
-      fail_ = true;
-      return;
-    }
-    std::visit(
-        [this](auto& alt) {
-          if constexpr (!std::is_same_v<std::decay_t<decltype(alt)>, std::monostate>) {
-            Fields(AbiFields(alt));
-          }
-        },
-        v);
-    --depth_;
-  }
-  template <typename T>
-  void Get(std::vector<T>& v) {
-    uint32_t n = 0;
-    Get(n);
-    v.clear();
-    for (uint32_t i = 0; i < n && !fail_; ++i) {
-      T e{};
-      Get(e);
-      v.push_back(std::move(e));
-    }
-  }
-  template <typename T>
-  void Get(T& v) {
-    Fields(AbiFields(v));
-  }
-
- private:
-  bool Need(size_t n) {
-    if (fail_ || pos_ + n > len_) {
-      fail_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  const uint8_t* data_;
-  size_t len_;
-  size_t pos_ = 0;
-  bool fail_ = false;
-  int depth_ = 0;
-};
-
-template <typename V>
-bool DecodeVariant(const uint8_t* data, size_t len, size_t* consumed, V* out,
-                   size_t index_offset) {
-  Decoder dec(data, len);
-  uint32_t tag = 0;
-  dec.Get(tag);
-  if (dec.failed() || !EmplaceByIndex(static_cast<size_t>(tag) + index_offset, out)) {
-    return false;
-  }
-  std::visit(
-      [&dec](auto& alt) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(alt)>, std::monostate>) {
-          dec.Fields(AbiFields(alt));
-        }
-      },
-      *out);
-  if (dec.failed()) {
-    return false;
-  }
-  if (consumed != nullptr) {
-    *consumed = dec.pos();
-  }
-  return true;
-}
-
-}  // namespace
-
-void EncodeReq(const SyscallReq& req, std::vector<uint8_t>* out) {
-  Encoder enc(out);
-  enc.Put(static_cast<uint32_t>(req.index()));
-  // AbiFields takes mutable references (one overload set serves encode and
-  // decode); encoding reads through a copy, which keeps the input const.
-  SyscallReq tmp = req;
-  std::visit([&enc](auto& alt) { enc.Fields(AbiFields(alt)); }, tmp);
-}
-
-bool DecodeReq(const uint8_t* data, size_t len, size_t* consumed, SyscallReq* out) {
-  return DecodeVariant(data, len, consumed, out, /*index_offset=*/0);
-}
-
-void EncodeRes(const SyscallRes& res, std::vector<uint8_t>* out) {
-  if (res.index() == 0) {
-    return;  // an unfilled completion has no wire form
-  }
-  Encoder enc(out);
-  // The wire tag is the request index this completion answers (res index 1
-  // completes req index 0).
-  enc.Put(static_cast<uint32_t>(res.index() - 1));
-  SyscallRes tmp = res;
-  std::visit(
-      [&enc](auto& alt) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(alt)>, std::monostate>) {
-          enc.Fields(AbiFields(alt));
-        }
-      },
-      tmp);
-}
-
-bool DecodeRes(const uint8_t* data, size_t len, size_t* consumed, SyscallRes* out) {
-  return DecodeVariant(data, len, consumed, out, /*index_offset=*/1);
-}
-
-// ---- Chain/completion utilities ---------------------------------------------
 
 Status ResStatus(const SyscallRes& res) {
   return std::visit(
@@ -384,103 +43,6 @@ Status ResStatus(const SyscallRes& res) {
         }
       },
       res);
-}
-
-void MakeRes(const SyscallReq& req, Status st, SyscallRes* out) {
-  // Completion alternative i+1 answers request alternative i (the variant
-  // layout contract asserted in syscall_abi.h), so the index arithmetic
-  // cannot miss — but stay defensive and leave monostate on the impossible
-  // path rather than crash.
-  if (!EmplaceByIndex(req.index() + 1, out)) {
-    *out = std::monostate{};
-    return;
-  }
-  std::visit(
-      [st](auto& alt) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(alt)>, std::monostate>) {
-          alt.status = st;
-        }
-      },
-      *out);
-}
-
-bool ResSlotRead(const SyscallRes& res, RingSlot slot, uint64_t* v) {
-  return std::visit(
-      [&](const auto& alt) -> bool {
-        using T = std::decay_t<decltype(alt)>;
-        if constexpr (std::is_same_v<T, std::monostate>) {
-          return false;
-        } else {
-          if (alt.status != Status::kOk) {
-            return false;  // value fields are meaningful only on success
-          }
-          switch (slot) {
-            case RingSlot::kLen:
-              if constexpr (requires { alt.len; }) {
-                *v = alt.len;
-                return true;
-              }
-              return false;
-            case RingSlot::kObject:
-            case RingSlot::kContainer:
-              if constexpr (requires { alt.id; }) {
-                *v = alt.id;
-                return true;
-              }
-              return false;
-            case RingSlot::kCount:
-              if constexpr (requires { alt.woken; }) {
-                *v = alt.woken;
-                return true;
-              }
-              return false;
-            default:
-              return false;  // kNone / kOff are not completion sources
-          }
-        }
-      },
-      res);
-}
-
-bool ReqSlotWrite(SyscallReq* req, RingSlot slot, uint64_t v) {
-  return std::visit(
-      [&](auto& r) -> bool {
-        switch (slot) {
-          case RingSlot::kLen:
-            if constexpr (requires { r.len; }) {
-              r.len = v;
-              return true;
-            } else if constexpr (requires { r.maxlen; }) {
-              r.maxlen = v;
-              return true;
-            }
-            return false;
-          case RingSlot::kOff:
-            if constexpr (requires { r.off; }) {
-              r.off = v;
-              return true;
-            } else if constexpr (requires { r.offset; }) {
-              r.offset = v;
-              return true;
-            }
-            return false;
-          case RingSlot::kObject:
-            if constexpr (requires { r.ce; }) {
-              r.ce.object = v;
-              return true;
-            }
-            return false;
-          case RingSlot::kContainer:
-            if constexpr (requires { r.ce; }) {
-              r.ce.container = v;
-              return true;
-            }
-            return false;
-          default:
-            return false;
-        }
-      },
-      *req);
 }
 
 }  // namespace histar

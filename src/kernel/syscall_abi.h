@@ -13,18 +13,15 @@
 // same-footprint requests under ONE ascending-order TableLock instead of
 // one per call (ARCHITECTURE.md "The batched syscall ABI").
 //
-// Buffer fields (`buf`, `data`) are caller-owned raw pointers, exactly like
-// an io_uring SQE referencing user memory: they must stay valid until the
-// matching completion is filled. Encode/decode (below) round-trips them as
-// 64-bit words — descriptors describe in-process memory, not a network
-// protocol.
+// Buffer fields (`buf`, `data`) are caller-owned raw pointers into the
+// submitter's memory: they must stay valid until SubmitBatch returns.
+// Descriptors describe in-process memory; they have no wire form.
 #ifndef SRC_KERNEL_SYSCALL_ABI_H_
 #define SRC_KERNEL_SYSCALL_ABI_H_
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -252,57 +249,6 @@ struct SyncPagesReq {
   uint64_t len = 0;
 };
 
-// ---- Rings (PR 5: async submission/completion queues) -----------------------
-//
-// A ring submission is a span of RingOps — a SyscallReq each, plus link
-// flags and operand-routing slots (io_uring's IOSQE_IO_LINK analogue). The
-// RingOp/RingCompletion structs themselves are defined below the variants
-// (they embed them); the request/completion descriptors here only need the
-// vector members, which C++17 permits over incomplete element types.
-struct RingOp;
-struct RingCompletion;
-
-// Named u64-valued "slots" on descriptors that linked operands flow
-// through: `RingOp::from` selects a slot of the PREVIOUS entry's
-// completion, `RingOp::to` the slot of THIS request it overwrites before
-// execution. kObject/kContainer retarget a request's ⟨D,O⟩ entry, which
-// makes its shard footprint data-dependent — the chain executor flushes the
-// current lock group before such an entry (see kernel_batch.cc).
-enum class RingSlot : uint8_t {
-  kNone = 0,
-  kLen = 1,        // SegmentGetLenRes.len / NetReceiveRes.len → len/maxlen fields
-  kObject = 2,     // create-result id → ce.object
-  kCount = 3,      // FutexWakeRes.woken
-  kOff = 4,        // → off/offset fields
-  kContainer = 5,  // create-result id → ce.container
-};
-
-inline constexpr bool RingSlotNamesIds(RingSlot s) {
-  return s == RingSlot::kObject || s == RingSlot::kContainer;
-}
-
-// RingOp::flags: this entry is linked TO its successor — if this entry
-// fails, every transitively linked successor completes with kCancelled
-// instead of executing.
-inline constexpr uint32_t kRingLinked = 1u << 0;
-
-struct RingCreateReq {
-  CreateSpec spec;
-  uint32_t capacity = 0;  // 0 → kRingDefaultCapacity
-};
-struct RingSubmitReq {
-  ContainerEntry ring;
-  std::vector<RingOp> ops;
-};
-struct RingWaitReq {
-  ContainerEntry ring;
-  uint64_t ticket = 0;
-  uint32_t timeout_ms = 0;
-};
-struct RingReapReq {
-  ContainerEntry ring;
-  uint32_t max = 0;  // 0 → everything pending
-};
 // Flight-recorder export (PR 10): returns the flow-checked view of the
 // kernel trace rings (src/core/trace.h). `self` is the reader whose raised
 // label gates per-event visibility; events that do not flow to it are
@@ -313,9 +259,6 @@ struct TraceReadReq {
 
 inline constexpr uint32_t kTraceReadDefaultMax = 256;
 inline constexpr uint32_t kTraceReadMaxEvents = 16384;
-
-inline constexpr uint32_t kRingDefaultCapacity = 64;
-inline constexpr uint32_t kRingMaxCapacity = 4096;
 
 // ---- Completion descriptors -------------------------------------------------
 //
@@ -499,24 +442,6 @@ struct SyncObjectRes {
 struct SyncPagesRes {
   Status status = Status::kInvalidArg;
 };
-struct RingCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct RingSubmitRes {
-  Status status = Status::kInvalidArg;
-  // Sequence number of the submission's LAST op; sys_ring_wait(ticket)
-  // returns once every op up to it has a completion. Op i of an n-op
-  // submission carries seq = ticket - n + 1 + i in its RingCompletion.
-  uint64_t ticket = 0;
-};
-struct RingWaitRes {
-  Status status = Status::kInvalidArg;
-};
-struct RingReapRes {
-  Status status = Status::kInvalidArg;
-  std::vector<RingCompletion> completions;
-};
 // One exported flight-recorder event (the wire form of trace::Event plus
 // its slot/seq provenance). Labels travel as raw LabelIds: the flow check
 // already ran kernel-side, so every event here is one the reader may see.
@@ -546,7 +471,8 @@ struct TraceReadRes {
 //
 // Alternative order is the ABI: SyscallRes alternative i+1 completes
 // SyscallReq alternative i (SyscallRes index 0 is monostate, "unfilled").
-// Appending new syscalls at the end keeps encoded descriptors stable.
+// The index is also the syscall kind the flight recorder stores; dumps and
+// tools/tracefmt carry kinds by name (SyscallKindName), not by number.
 using SyscallReq = std::variant<
     CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq, SelfGetLabelReq, SelfGetClearanceReq,
     SelfSetAsReq, SelfGetAsReq, SelfHaltReq, ThreadCreateReq, ThreadAlertReq, SelfNextAlertReq,
@@ -557,8 +483,7 @@ using SyscallReq = std::variant<
     SegmentResizeReq, SegmentGetLenReq, SegmentReadReq, SegmentWriteReq, AsCreateReq, AsSetReq,
     AsGetReq, AsAccessReq, GateCreateReq, GateInvokeReq, GateGetClosureReq, FutexWaitReq,
     FutexWakeReq, NetMacAddrReq, NetTransmitReq, NetReceiveReq, NetWaitReq, ConsoleWriteReq,
-    SyncReq, SyncObjectReq, SyncPagesReq, RingCreateReq, RingSubmitReq, RingWaitReq,
-    RingReapReq, TraceReadReq>;
+    SyncReq, SyncObjectReq, SyncPagesReq, TraceReadReq>;
 
 using SyscallRes = std::variant<
     std::monostate, CatCreateRes, SelfSetLabelRes, SelfSetClearanceRes, SelfGetLabelRes,
@@ -570,8 +495,7 @@ using SyscallRes = std::variant<
     SegmentCreateRes, SegmentCopyRes, SegmentResizeRes, SegmentGetLenRes, SegmentReadRes,
     SegmentWriteRes, AsCreateRes, AsSetRes, AsGetRes, AsAccessRes, GateCreateRes, GateInvokeRes,
     GateGetClosureRes, FutexWaitRes, FutexWakeRes, NetMacAddrRes, NetTransmitRes, NetReceiveRes,
-    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, RingCreateRes,
-    RingSubmitRes, RingWaitRes, RingReapRes, TraceReadRes>;
+    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, TraceReadRes>;
 
 inline constexpr size_t kNumSyscallKinds = std::variant_size_v<SyscallReq>;
 static_assert(std::variant_size_v<SyscallRes> == kNumSyscallKinds + 1,
@@ -583,195 +507,10 @@ static_assert(std::variant_size_v<SyscallRes> == kNumSyscallKinds + 1,
 // compile error. Consumers: trace dumps, tools/tracefmt, docs.
 const char* SyscallKindName(size_t index);
 
-// One entry of a ring submission: the request itself plus the link flag and
-// operand routing (defined after the variants because it embeds them).
-struct RingOp {
-  SyscallReq req;
-  uint32_t flags = 0;               // kRingLinked
-  RingSlot from = RingSlot::kNone;  // completion slot of the PREVIOUS entry
-  RingSlot to = RingSlot::kNone;    // request slot of THIS entry to overwrite
-};
-
-// One reaped completion: the per-ring op sequence number plus the filled
-// completion descriptor (kCancelled-status for ops a linked predecessor's
-// failure cancelled).
-struct RingCompletion {
-  uint64_t seq = 0;
-  SyscallRes res;
-};
-
-// ---- Chain/completion utilities (syscall_abi.cc) ----------------------------
-//
-// Every completion alternative leads with a Status; these helpers give the
-// chain executor and ring machinery generic access to it without a 50-arm
-// switch at each use site.
-//
-// The Status of a completion (kInvalidArg for an unfilled monostate).
+// The Status of a completion (kInvalidArg for an unfilled monostate): every
+// completion alternative leads with one, and the dispatcher's trace hook
+// reads it generically.
 Status ResStatus(const SyscallRes& res);
-// Fills *out with the completion alternative matching `req`, carrying
-// status `st` and default value fields (how cancelled ring ops complete).
-void MakeRes(const SyscallReq& req, Status st, SyscallRes* out);
-// Reads slot `slot` of a completion / overwrites slot `slot` of a request.
-// False if the descriptor has no such slot (the chain executor cancels the
-// consumer with kInvalidArg).
-bool ResSlotRead(const SyscallRes& res, RingSlot slot, uint64_t* v);
-bool ReqSlotWrite(SyscallReq* req, RingSlot slot, uint64_t v);
-
-// ---- Field enumeration ------------------------------------------------------
-//
-// One AbiFields overload per descriptor returns a tuple of references to the
-// fields in wire order; the encode/decode archives in syscall_abi.cc fold
-// over it. Adding a field to a descriptor without touching its AbiFields
-// line fails the round-trip property test (tests/kernel/syscall_abi_test.cc).
-inline auto AbiFields(CatCreateReq&) { return std::tie(); }
-inline auto AbiFields(SelfSetLabelReq& r) { return std::tie(r.label); }
-inline auto AbiFields(SelfSetClearanceReq& r) { return std::tie(r.clearance); }
-inline auto AbiFields(SelfGetLabelReq&) { return std::tie(); }
-inline auto AbiFields(SelfGetClearanceReq&) { return std::tie(); }
-inline auto AbiFields(SelfSetAsReq& r) { return std::tie(r.as); }
-inline auto AbiFields(SelfGetAsReq&) { return std::tie(); }
-inline auto AbiFields(SelfHaltReq&) { return std::tie(); }
-inline auto AbiFields(ThreadCreateReq& r) { return std::tie(r.spec, r.label, r.clearance); }
-inline auto AbiFields(ThreadAlertReq& r) { return std::tie(r.thread, r.code); }
-inline auto AbiFields(SelfNextAlertReq&) { return std::tie(); }
-inline auto AbiFields(SelfLocalReadReq& r) { return std::tie(r.buf, r.off, r.len); }
-inline auto AbiFields(SelfLocalWriteReq& r) { return std::tie(r.buf, r.off, r.len); }
-inline auto AbiFields(ContainerCreateReq& r) { return std::tie(r.spec, r.avoid_types); }
-inline auto AbiFields(ContainerUnrefReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ContainerGetParentReq& r) { return std::tie(r.container); }
-inline auto AbiFields(ContainerListReq& r) { return std::tie(r.container); }
-inline auto AbiFields(ContainerLinkReq& r) { return std::tie(r.container, r.src); }
-inline auto AbiFields(ContainerHasReq& r) { return std::tie(r.container, r.obj); }
-inline auto AbiFields(ObjGetTypeReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetLabelReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetDescripReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetQuotaReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjGetMetadataReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjSetMetadataReq& r) { return std::tie(r.ce, r.data, r.len); }
-inline auto AbiFields(ObjSetFixedQuotaReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(ObjSetImmutableReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(QuotaMoveReq& r) { return std::tie(r.d, r.o, r.n); }
-inline auto AbiFields(SegmentCreateReq& r) { return std::tie(r.spec, r.len); }
-inline auto AbiFields(SegmentCopyReq& r) { return std::tie(r.spec, r.src); }
-inline auto AbiFields(SegmentResizeReq& r) { return std::tie(r.ce, r.len); }
-inline auto AbiFields(SegmentGetLenReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(SegmentReadReq& r) { return std::tie(r.ce, r.buf, r.off, r.len); }
-inline auto AbiFields(SegmentWriteReq& r) { return std::tie(r.ce, r.buf, r.off, r.len); }
-inline auto AbiFields(AsCreateReq& r) { return std::tie(r.spec); }
-inline auto AbiFields(AsSetReq& r) { return std::tie(r.ce, r.mappings); }
-inline auto AbiFields(AsGetReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(AsAccessReq& r) { return std::tie(r.va, r.buf, r.len, r.write); }
-inline auto AbiFields(GateCreateReq& r) {
-  return std::tie(r.spec, r.gate_label, r.gate_clearance, r.entry_name, r.closure);
-}
-inline auto AbiFields(GateInvokeReq& r) {
-  return std::tie(r.gate, r.request_label, r.request_clearance, r.verify_label);
-}
-inline auto AbiFields(GateGetClosureReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(FutexWaitReq& r) {
-  return std::tie(r.seg, r.offset, r.expected, r.timeout_ms);
-}
-inline auto AbiFields(FutexWakeReq& r) { return std::tie(r.seg, r.offset, r.max_count); }
-inline auto AbiFields(NetMacAddrReq& r) { return std::tie(r.dev); }
-inline auto AbiFields(NetTransmitReq& r) { return std::tie(r.dev, r.seg, r.off, r.len); }
-inline auto AbiFields(NetReceiveReq& r) { return std::tie(r.dev, r.seg, r.off, r.maxlen); }
-inline auto AbiFields(NetWaitReq& r) { return std::tie(r.dev, r.timeout_ms); }
-inline auto AbiFields(ConsoleWriteReq& r) { return std::tie(r.dev, r.text); }
-inline auto AbiFields(SyncReq&) { return std::tie(); }
-inline auto AbiFields(SyncObjectReq& r) { return std::tie(r.ce); }
-inline auto AbiFields(SyncPagesReq& r) { return std::tie(r.ce, r.offset, r.len); }
-inline auto AbiFields(RingCreateReq& r) { return std::tie(r.spec, r.capacity); }
-inline auto AbiFields(RingSubmitReq& r) { return std::tie(r.ring, r.ops); }
-inline auto AbiFields(RingWaitReq& r) { return std::tie(r.ring, r.ticket, r.timeout_ms); }
-inline auto AbiFields(RingReapReq& r) { return std::tie(r.ring, r.max); }
-inline auto AbiFields(TraceReadReq& r) { return std::tie(r.max_events); }
-
-inline auto AbiFields(CatCreateRes& r) { return std::tie(r.status, r.cat); }
-inline auto AbiFields(SelfSetLabelRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfSetClearanceRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfGetLabelRes& r) { return std::tie(r.status, r.label); }
-inline auto AbiFields(SelfGetClearanceRes& r) { return std::tie(r.status, r.clearance); }
-inline auto AbiFields(SelfSetAsRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfGetAsRes& r) { return std::tie(r.status, r.as); }
-inline auto AbiFields(SelfHaltRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ThreadCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(ThreadAlertRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfNextAlertRes& r) { return std::tie(r.status, r.code); }
-inline auto AbiFields(SelfLocalReadRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SelfLocalWriteRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ContainerCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(ContainerUnrefRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ContainerGetParentRes& r) { return std::tie(r.status, r.parent); }
-inline auto AbiFields(ContainerListRes& r) { return std::tie(r.status, r.links); }
-inline auto AbiFields(ContainerLinkRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ContainerHasRes& r) { return std::tie(r.status, r.has); }
-inline auto AbiFields(ObjGetTypeRes& r) { return std::tie(r.status, r.type); }
-inline auto AbiFields(ObjGetLabelRes& r) { return std::tie(r.status, r.label); }
-inline auto AbiFields(ObjGetDescripRes& r) { return std::tie(r.status, r.descrip); }
-inline auto AbiFields(ObjGetQuotaRes& r) { return std::tie(r.status, r.quota); }
-inline auto AbiFields(ObjGetMetadataRes& r) { return std::tie(r.status, r.metadata); }
-inline auto AbiFields(ObjSetMetadataRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ObjSetFixedQuotaRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ObjSetImmutableRes& r) { return std::tie(r.status); }
-inline auto AbiFields(QuotaMoveRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SegmentCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(SegmentCopyRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(SegmentResizeRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SegmentGetLenRes& r) { return std::tie(r.status, r.len); }
-inline auto AbiFields(SegmentReadRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SegmentWriteRes& r) { return std::tie(r.status); }
-inline auto AbiFields(AsCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(AsSetRes& r) { return std::tie(r.status); }
-inline auto AbiFields(AsGetRes& r) { return std::tie(r.status, r.mappings); }
-inline auto AbiFields(AsAccessRes& r) { return std::tie(r.status); }
-inline auto AbiFields(GateCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(GateInvokeRes& r) { return std::tie(r.status); }
-inline auto AbiFields(GateGetClosureRes& r) { return std::tie(r.status, r.closure); }
-inline auto AbiFields(FutexWaitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(FutexWakeRes& r) { return std::tie(r.status, r.woken); }
-inline auto AbiFields(NetMacAddrRes& r) { return std::tie(r.status, r.mac); }
-inline auto AbiFields(NetTransmitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(NetReceiveRes& r) { return std::tie(r.status, r.len); }
-inline auto AbiFields(NetWaitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(ConsoleWriteRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SyncRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SyncObjectRes& r) { return std::tie(r.status); }
-inline auto AbiFields(SyncPagesRes& r) { return std::tie(r.status); }
-inline auto AbiFields(RingCreateRes& r) { return std::tie(r.status, r.id); }
-inline auto AbiFields(RingSubmitRes& r) { return std::tie(r.status, r.ticket); }
-inline auto AbiFields(RingWaitRes& r) { return std::tie(r.status); }
-inline auto AbiFields(RingReapRes& r) { return std::tie(r.status, r.completions); }
-inline auto AbiFields(TraceEventWire& e) {
-  return std::tie(e.ts_ns, e.a, e.b, e.c, e.seq, e.slot, e.dur_ns, e.tlabel,
-                  e.olabel, e.kind, e.code, e.aux, e.gen);
-}
-inline auto AbiFields(TraceReadRes& r) {
-  return std::tie(r.status, r.total, r.withheld, r.events);
-}
-
-inline auto AbiFields(CreateSpec& s) { return std::tie(s.container, s.label, s.descrip, s.quota); }
-// Nested descriptors: the archives encode an embedded SyscallReq/SyscallRes
-// as [u32 variant-index][fields] — the completion's index is stored raw
-// (0 = monostate, unlike the top-level EncodeRes tag, so an unfilled
-// completion inside a RingCompletion round-trips).
-inline auto AbiFields(RingOp& o) { return std::tie(o.flags, o.from, o.to, o.req); }
-inline auto AbiFields(RingCompletion& c) { return std::tie(c.seq, c.res); }
-inline auto AbiFields(ContainerEntry& e) { return std::tie(e.container, e.object); }
-inline auto AbiFields(Mapping& m) {
-  return std::tie(m.va, m.segment, m.start_page, m.npages, m.flags);
-}
-
-// ---- Wire form --------------------------------------------------------------
-//
-// Descriptor layout (little-endian): [u32 alternative-index][fields in
-// AbiFields order]. Integers are fixed-width LE; bools one byte; pointers
-// 64-bit words; strings and byte/word vectors are u32-length-prefixed;
-// labels use Label::Serialize; composite fields (CreateSpec, ContainerEntry,
-// Mapping) recurse. Documented in docs/syscalls.md ("Batched submission").
-void EncodeReq(const SyscallReq& req, std::vector<uint8_t>* out);
-bool DecodeReq(const uint8_t* data, size_t len, size_t* consumed, SyscallReq* out);
-void EncodeRes(const SyscallRes& res, std::vector<uint8_t>* out);
-bool DecodeRes(const uint8_t* data, size_t len, size_t* consumed, SyscallRes* out);
 
 }  // namespace histar
 

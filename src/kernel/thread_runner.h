@@ -33,18 +33,6 @@ inline void RunBound(ObjectId tid, const std::function<void()>& body) {
   body();
 }
 
-// Runs `body` as kernel-worker proxy execution (PR 5): the host thread
-// keeps whatever CurrentThread binding it has (ring workers have none — a
-// worker is not a kernel thread and must not impersonate one), and the
-// ProxyExecution guard keeps per-thread fault hints of the threads whose
-// descriptors it executes untouched. This is the inverse of RunBound:
-// borrowed *labels* (each syscall names its submitter as `self`) without a
-// borrowed identity.
-inline void RunAsWorker(const std::function<void()>& body) {
-  ProxyExecution proxy;
-  body();
-}
-
 }  // namespace histar
 
 #endif  // SRC_KERNEL_THREAD_RUNNER_H_

@@ -18,12 +18,11 @@ inline constexpr ObjectId kInvalidObject = 0;
 // when it appears in an address-space mapping (paper §3.4).
 inline constexpr ObjectId kLocalSegmentId = ~uint64_t{0};
 
-// The kernel object types: the paper's six (§3) plus the async
-// submission/completion ring (PR 5 — not in the paper, but built entirely
-// from its object model: a ring is just another labeled, quota-charged
-// kernel object). The enum values are also the bit positions used by
-// container avoid_types masks, and appear in serialized object blobs, so
-// new types append at the end.
+// The kernel object types: the paper's six (§3). The enum values are also
+// the bit positions used by container avoid_types masks, and appear in
+// serialized object blobs, so new types append at the end. Value 6 was an
+// async submission ring in older images; it is never reused, so restore
+// rejects such a blob as corrupt instead of reading it as something else.
 enum class ObjectType : uint8_t {
   kContainer = 0,
   kThread = 1,
@@ -31,10 +30,9 @@ enum class ObjectType : uint8_t {
   kAddressSpace = 3,
   kGate = 4,
   kDevice = 5,
-  kRing = 6,
 };
 
-inline constexpr int kNumObjectTypes = 7;
+inline constexpr int kNumObjectTypes = 6;
 
 inline uint32_t TypeBit(ObjectType t) { return 1u << static_cast<uint32_t>(t); }
 

@@ -11,14 +11,19 @@ namespace histar {
 namespace {
 
 // Shared socket segment layout: a control header followed by two rings.
-constexpr uint64_t kOffMutex = 0;
+// Each direction has its own mutex word: Send and Recv write disjoint
+// cursors, so a sender and a receiver on one socket (vpnd's two threads)
+// never contend for a SegmentMutex, whose compare-exchange is not atomic
+// across threads.
+constexpr uint64_t kOffTxMutex = 0;
 constexpr uint64_t kOffTxR = 8;
 constexpr uint64_t kOffTxW = 16;
 constexpr uint64_t kOffRxR = 24;
 constexpr uint64_t kOffRxW = 32;
 constexpr uint64_t kOffFlags = 40;
+constexpr uint64_t kOffRxMutex = 48;
 constexpr uint64_t kRingBytes = 64 * 1024;
-constexpr uint64_t kOffTxData = 48;
+constexpr uint64_t kOffTxData = 56;
 constexpr uint64_t kOffRxData = kOffTxData + kRingBytes;
 constexpr uint64_t kSocketSegBytes = kOffRxData + kRingBytes;
 
@@ -447,7 +452,7 @@ Result<uint64_t> NetDaemon::Send(ObjectId self, uint64_t sock, const void* buf, 
   }
   const uint8_t* src = static_cast<const uint8_t*>(buf);
   uint64_t sent = 0;
-  SegmentMutex mu(kernel_, seg.value(), kOffMutex);
+  SegmentMutex mu(kernel_, seg.value(), kOffTxMutex);
   while (sent < len) {
     if (!mu.Lock(self)) {
       return Status::kLabelCheckFailed;
@@ -488,7 +493,7 @@ Result<uint64_t> NetDaemon::Recv(ObjectId self, uint64_t sock, void* buf, uint64
     return seg.status();
   }
   uint8_t* dst = static_cast<uint8_t*>(buf);
-  SegmentMutex mu(kernel_, seg.value(), kOffMutex);
+  SegmentMutex mu(kernel_, seg.value(), kOffRxMutex);
   uint32_t waited = 0;
   bool refilled = false;  // one refill attempt per wait, so a refill that
                           // cannot move bytes never spins

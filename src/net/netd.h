@@ -11,8 +11,8 @@
 //  * a control gate ("netd.ctl") — socket setup, plus the "flush socket" op
 //    that moves a socket's bytes: tx ring → wire, and staged receive bytes →
 //    rx ring;
-//  * a per-socket *shared memory segment* (labeled {i2, 1}) with tx/rx rings
-//    and futex wakeups.
+//  * a per-socket *shared memory segment* (labeled {i2, 1}) with tx/rx rings,
+//    one mutex word per ring, and futex wakeups.
 //
 // netd is event-driven: each socket event is handled by the thread that
 // causes it, which is the paper's "donating a worker thread to netd". Send
@@ -24,6 +24,11 @@
 // into the sockets, and its 5 ms device wait is a fallback sweep and
 // shutdown bound, not a clock the data path waits on. netd drives the NIC
 // with per-call syscalls only.
+//
+// A client that sends and receives at the same time, like vpnd (vpn.h),
+// needs one kernel thread per direction, not just one host thread: a
+// Send's gate crossing relabels the kernel thread that makes it, and uses
+// that thread's local segment for the request.
 //
 // Because rx data lives in {i2, 1} segments, an application must taint
 // itself i2 before it can read from a socket; an untainted process simply

@@ -1,94 +1,22 @@
 #include "src/net/vpn.h"
 
 #include <cstring>
-#include <functional>
 
-#include "src/kernel/ring.h"
 #include "src/kernel/thread_runner.h"
 
 namespace histar {
 
 namespace {
 
-// Receive slots per tun drain: the staging segment is carved into
-// kNetFrameMax-byte slots so each receive in a burst owns private bytes.
-constexpr uint32_t kTunRxBurst = 4;
+// Staging-slot layout inside tun-rxbuf (vpn.h): the outbound thread's
+// receive slot, then the inbound thread's transmit slot.
+constexpr uint64_t kTunRxSlot = 0;
+constexpr uint64_t kTunTxSlot = kNetFrameMax;
+constexpr uint64_t kTunStagingBytes = 2 * kNetFrameMax;
 
-// Ring-backed tun drain: ONE ring submission of `burst` receive→read
-// chains against `dev`, each chain [net_receive into staging slot i]
-// →link→ [segment_read slot i, the LENGTH ROUTED from NetReceiveRes.len] —
-// the split submit/complete path that lets the NIC's unlocked poll phases
-// run off the calling thread. Staging slots start at offset 0 of
-// `staging`; `burst_buf` must hold burst * kNetFrameMax bytes and stay
-// untouched until the call returns. Invokes fn(frame) for every frame
-// received (in order). Returns the frame count, or -1 when the ring path is
-// unusable (submission refused — the caller falls back to per-call
-// sys_net_receive).
-int RingDrainNic(Kernel* kernel, ObjectId self, ContainerEntry ring, ContainerEntry dev,
-                 ContainerEntry staging, uint32_t burst, std::vector<uint8_t>* burst_buf,
-                 const std::function<void(std::vector<uint8_t>&&)>& fn) {
-  // ONE submission: `burst` independent [receive →link→ read] chains. The
-  // NetReceiveRes length flows into the linked SegmentReadReq (RingSlot
-  // routing), and an empty NIC (kAgain) cancels just that chain's read.
-  std::vector<RingOp> ops;
-  ops.reserve(2 * burst);
-  for (uint32_t slot = 0; slot < burst; ++slot) {
-    uint64_t off = uint64_t{slot} * kNetFrameMax;
-    ops.push_back(
-        RingOp{SyscallReq{NetReceiveReq{dev, staging, off, kNetFrameMax}}, kRingLinked});
-    ops.push_back(RingOp{SyscallReq{SegmentReadReq{staging, burst_buf->data() + off, off, 0}}, 0,
-                         RingSlot::kLen, RingSlot::kLen});
-  }
-  Result<uint64_t> ticket = kernel->sys_ring_submit(self, ring, std::move(ops));
-  if (!ticket.ok()) {
-    return -1;
-  }
-  // Every op in the burst is non-blocking (NetReceive polls, never sleeps),
-  // so completion is prompt; wait indefinitely rather than invent a timeout
-  // that could strand unreaped completions. kHalted/kNotFound are only
-  // reported once no worker holds this burst's buffers (the kernel's
-  // executing-drain), so abandoning on them is safe.
-  if (RingWaitInterruptible(kernel, self, ring, ticket.value()) != Status::kOk) {
-    kernel->sys_ring_reap(self, ring, 0);  // free capacity; frames drop
-    return -1;  // halted / ring destroyed: caller falls back
-  }
-  Result<std::vector<RingCompletion>> done = kernel->sys_ring_reap(self, ring, 0);
-  if (!done.ok()) {
-    return -1;
-  }
-  // Pair completions by SEQ, never by position: an earlier abandoned
-  // burst's late-published completions can sit at the front of the CQ, and
-  // positional pairing would apply their lengths to staging slots the new
-  // burst has since overwritten. Seqs outside this burst's range are
-  // discarded outright.
-  int frames = 0;
-  const uint64_t nops = 2 * uint64_t{burst};
-  const uint64_t first = ticket.value() - nops + 1;
-  std::vector<const SyscallRes*> by_op(nops, nullptr);
-  for (const RingCompletion& c : done.value()) {
-    if (c.seq >= first && c.seq - first < nops) {
-      by_op[static_cast<size_t>(c.seq - first)] = &c.res;
-    }
-  }
-  for (uint32_t slot = 0; slot < burst; ++slot) {
-    const SyscallRes* rres = by_op[2 * slot];
-    const SyscallRes* dres = by_op[2 * slot + 1];
-    if (rres == nullptr || dres == nullptr) {
-      continue;
-    }
-    const NetReceiveRes* rcv = std::get_if<NetReceiveRes>(rres);
-    if (rcv == nullptr || rcv->status != Status::kOk) {
-      continue;  // kAgain (empty NIC) — the linked read completed kCancelled
-    }
-    if (ResStatus(*dres) != Status::kOk || rcv->len > kNetFrameMax) {
-      continue;
-    }
-    const uint8_t* base = burst_buf->data() + uint64_t{slot} * kNetFrameMax;
-    fn(std::vector<uint8_t>(base, base + rcv->len));
-    ++frames;
-  }
-  return frames;
-}
+// Timeout of each direction's blocking wait. Both wake on data, so this
+// only bounds how long Stop waits for a thread to notice.
+constexpr uint32_t kStopPollMs = 50;
 
 }  // namespace
 
@@ -283,30 +211,18 @@ std::unique_ptr<VpnDaemon> VpnDaemon::Start(UnixWorld* world, NetDaemon* inet,
   }
   d->vpnd_ids_ = ids.value();
 
-  // Frame staging buffer for the tun device, labeled like the device —
-  // kTunRxBurst slots so the ring-backed drain can park a whole burst of
-  // receives (slot 0 doubles as the inbound staging slot: the loop is
-  // single-threaded and only writes it after its outbound burst is reaped).
+  // Frame staging for the tun device, labeled like the device: one receive
+  // slot and one transmit slot (vpn.h).
   CreateSpec rspec;
   rspec.container = d->vpnd_ids_.proc_ct;
   rspec.label = tun_label;
   rspec.descrip = "tun-rxbuf";
-  rspec.quota = kObjectOverheadBytes + 4 * kPageSize;
-  Result<ObjectId> rxbuf =
-      k->sys_segment_create(boot, rspec, uint64_t{kTunRxBurst} * kNetFrameMax);
+  rspec.quota = kObjectOverheadBytes + kTunStagingBytes + kPageSize;
+  Result<ObjectId> rxbuf = k->sys_segment_create(boot, rspec, kTunStagingBytes);
   if (!rxbuf.ok()) {
     return nullptr;
   }
   d->rxbuf_ = rxbuf.value();
-
-  // The tun submission ring, tainted v like everything read from the tun.
-  CreateSpec qspec;
-  qspec.container = d->vpnd_ids_.proc_ct;
-  qspec.label = Label(Level::k1, {{d->v_, Level::k2}});
-  qspec.descrip = "vpnd-ring";
-  qspec.quota = 16 * kPageSize;
-  Result<ObjectId> ring = k->sys_ring_create(boot, qspec, 4 * kTunRxBurst);
-  d->ring_ = ring.ok() ? ring.value() : kInvalidObject;
 
   d->running_.store(true);
   VpnDaemon* raw = d.get();
@@ -336,65 +252,93 @@ void VpnDaemon::ClientLoop() {
     return;
   }
   inet_sock_ = conn.value();
+  // The outbound thread: same label and clearance as this one, in vpnd's
+  // process container.
+  Result<Label> label = k->sys_self_get_label(self);
+  Result<Label> clearance = k->sys_self_get_clearance(self);
+  if (!label.ok() || !clearance.ok()) {
+    return;
+  }
+  CreateSpec tspec;
+  tspec.container = vpnd_ids_.proc_ct;
+  tspec.descrip = "vpnd-tun";
+  tspec.quota = 64 * kPageSize;
+  Result<ObjectId> tun_thread =
+      k->sys_thread_create(self, tspec, label.value(), clearance.value());
+  if (!tun_thread.ok()) {
+    return;
+  }
+  ObjectId tun_self = tun_thread.value();
+  std::thread tun_host = RunOnHostThread(k, tun_self, [this, tun_self]() { TunLoop(tun_self); });
+  TunnelLoop(self);
+  // Stop, or the tunnel is gone: either way the outbound thread stops too.
+  running_.store(false);
+  tun_host.join();
+}
+
+void VpnDaemon::TunnelLoop(ObjectId self) {
+  Kernel* k = kernel_;
   ContainerEntry tun_dev{k->root_container(), tun_client_dev_};
-  ContainerEntry rx{vpnd_ids_.proc_ct, rxbuf_};
+  ContainerEntry staging{vpnd_ids_.proc_ct, rxbuf_};
   TunnelDecoder dec(key_);
   std::vector<uint8_t> buf(4096);
-  std::vector<uint8_t> burst_buf(uint64_t{kTunRxBurst} * kNetFrameMax);
+  std::vector<uint8_t> frame;
   while (running_.load()) {
-    bool idle = true;
-    // Outbound: VPN stack → tun → encrypt → Internet. OpenVPN's check that
-    // outgoing packets are not i-tainted is structural here: everything
-    // read from the tun device carries v2, never i. The drain rides
-    // ring-backed receive→read bursts, falling back to per-call
-    // receives if the ring is unusable.
-    auto outbound = [&](std::vector<uint8_t>&& frame) {
-      std::vector<uint8_t> rec;
-      TunnelEncode(key_, frame, &rec);
-      inet_->Send(self, inet_sock_, rec.data(), rec.size());
-      ++frames_out_;
-      idle = false;
-    };
-    bool ring_ok = ring_ != kInvalidObject;
-    while (ring_ok) {
-      int got = RingDrainNic(k, self, ContainerEntry{vpnd_ids_.proc_ct, ring_}, tun_dev, rx,
-                             kTunRxBurst, &burst_buf, outbound);
-      if (got < 0) {
-        ring_ok = false;
-        break;
-      }
-      if (got < static_cast<int>(kTunRxBurst)) {
-        break;  // tun drained
-      }
-    }
-    while (!ring_ok) {
-      Result<uint64_t> n = k->sys_net_receive(self, tun_dev, rx, 0, kNetFrameMax);
-      if (!n.ok()) {
-        break;
-      }
-      std::vector<uint8_t> frame(n.value());
-      if (k->sys_segment_read(self, rx, frame.data(), 0, n.value()) != Status::kOk) {
-        break;
-      }
-      outbound(std::move(frame));
-    }
     // Inbound: Internet → decrypt → tun → VPN stack (arrives v2-tainted via
     // the vpn stack's device label).
-    Result<uint64_t> n = inet_->Recv(self, inet_sock_, buf.data(), buf.size(), 5);
-    if (n.ok() && n.value() > 0) {
-      dec.Feed(buf.data(), n.value());
-      std::vector<uint8_t> frame;
-      while (dec.Next(&frame)) {
-        if (k->sys_segment_write(self, rx, frame.data(), 0, frame.size()) == Status::kOk) {
-          k->sys_net_transmit(self, tun_dev, rx, 0, frame.size());
-          ++frames_in_;
-        }
+    Result<uint64_t> n = inet_->Recv(self, inet_sock_, buf.data(), buf.size(), kStopPollMs);
+    if (!n.ok()) {
+      if (n.status() == Status::kTimedOut) {
+        continue;
       }
-      idle = false;
+      return;  // the socket is unusable
     }
-    if (idle) {
-      k->sys_net_wait(self, tun_dev, 5);
+    if (n.value() == 0) {
+      return;  // orderly EOF: the gateway closed the tunnel
     }
+    dec.Feed(buf.data(), n.value());
+    while (dec.Next(&frame)) {
+      // Tunnel bytes are outside input, and the NIC rejects a frame this
+      // long anyway: drop it before it reaches the staging slot.
+      if (frame.size() > kMaxFrame) {
+        continue;
+      }
+      if (k->sys_segment_write(self, staging, frame.data(), kTunTxSlot, frame.size()) ==
+              Status::kOk &&
+          k->sys_net_transmit(self, tun_dev, staging, kTunTxSlot, frame.size()) == Status::kOk) {
+        ++frames_in_;
+      }
+    }
+  }
+}
+
+void VpnDaemon::TunLoop(ObjectId self) {
+  Kernel* k = kernel_;
+  ContainerEntry tun_dev{k->root_container(), tun_client_dev_};
+  ContainerEntry staging{vpnd_ids_.proc_ct, rxbuf_};
+  std::vector<uint8_t> rec;
+  while (running_.load()) {
+    // Outbound: VPN stack → tun → encrypt → Internet. OpenVPN's check that
+    // outgoing packets are not i-tainted is structural here: everything
+    // read from the tun device carries v2, never i.
+    Result<uint64_t> n = k->sys_net_receive(self, tun_dev, staging, kTunRxSlot, kNetFrameMax);
+    if (!n.ok()) {
+      // Drained: sleep until the VPN stack transmits. A wait that fails
+      // outright means the device is unusable, not empty.
+      Status ws = k->sys_net_wait(self, tun_dev, kStopPollMs);
+      if (ws != Status::kOk && ws != Status::kTimedOut) {
+        return;
+      }
+      continue;
+    }
+    std::vector<uint8_t> frame(n.value());
+    if (k->sys_segment_read(self, staging, frame.data(), kTunRxSlot, n.value()) != Status::kOk) {
+      continue;
+    }
+    rec.clear();
+    TunnelEncode(key_, frame, &rec);
+    inet_->Send(self, inet_sock_, rec.data(), rec.size());
+    ++frames_out_;
   }
 }
 

@@ -52,6 +52,18 @@ class VpnGatewaySim {
 };
 
 // The local side: tun pair + VPN protocol stack + vpnd client process.
+//
+// vpnd is event-driven, with one kernel thread per direction, each blocked
+// on its own source. The process's thread connects the tunnel, then runs
+// the inbound direction: it blocks in Recv on the Internet socket, decrypts,
+// and transmits the frames on the tun. For the outbound direction it creates
+// a second thread with its own label and clearance, which drains the tun
+// with per-call sys_net_receive, blocks in sys_net_wait when the tun is
+// empty, and Sends each frame encrypted into the tunnel. Both waits wake on
+// data; their timeouts only bound Stop, as netd's pump wait does. The second
+// thread is its own kernel Thread, not a second host thread on vpnd's:
+// Send's flush crosses netd's ctl gate, which relabels the thread that
+// crosses it.
 class VpnDaemon {
  public:
   // `inet` is the Internet-side stack; `gateway_mac`/`gateway_port` locate
@@ -72,7 +84,13 @@ class VpnDaemon {
 
  private:
   VpnDaemon() = default;
+  // The process thread's body: connect, start the outbound thread, run the
+  // inbound direction until Stop or the tunnel closes.
   void ClientLoop();
+  // Internet → decrypt → tun, on vpnd's process thread.
+  void TunnelLoop(ObjectId self);
+  // tun → encrypt → Internet, on the thread ClientLoop creates.
+  void TunLoop(ObjectId self);
 
   UnixWorld* world_ = nullptr;
   Kernel* kernel_ = nullptr;
@@ -86,10 +104,11 @@ class VpnDaemon {
   std::unique_ptr<NetDaemon> vpn_stack_;  // the untrusted VPN lwIP analogue
   ObjectId tun_client_dev_ = kInvalidObject;
   ProcessIds vpnd_ids_;                    // the trusted-ish vpnd process
+  // tun frame staging, labeled like the tun device: the outbound thread's
+  // receive slot, then the inbound thread's transmit slot, so the two
+  // threads never share bytes.
   ObjectId rxbuf_ = kInvalidObject;
-  // Submission ring for the tun RX bursts ({v2,1}); kInvalidObject → the
-  // loop stays on per-call receives. vpnd is the last ring user.
-  ObjectId ring_ = kInvalidObject;
+  // Set by ClientLoop before it starts the outbound thread.
   uint64_t inet_sock_ = 0;
 
   std::thread client_host_;

@@ -61,7 +61,7 @@ TEST(Recorder, RingWrapKeepsTheMostRecentEvents) {
   const size_t slot = Recorder::CurrentSlot();
   const size_t total = kRingEvents + kRingEvents / 2;
   for (size_t i = 0; i < total; ++i) {
-    RecordEvent(EventKind::kRingChain, /*a=*/i, /*b=*/0, /*c=*/marker);
+    RecordEvent(EventKind::kEpochRetire, /*a=*/i, /*b=*/0, /*c=*/marker);
   }
   std::vector<SlotEvent> mine = MineInSlot(marker, slot);
   // At most one ring's worth survives, and it is the most recent window:
@@ -213,7 +213,7 @@ TEST(Recorder, SnapshotDropsTheEventTheWriterMayBeOverwriting) {
   const uint64_t marker = 0x0FF8E7u;
   const size_t slot = Recorder::CurrentSlot();
   for (uint64_t i = 0; i < kRingEvents; ++i) {
-    RecordEvent(EventKind::kRingChain, /*a=*/i, /*b=*/0, /*c=*/marker);
+    RecordEvent(EventKind::kEpochRetire, /*a=*/i, /*b=*/0, /*c=*/marker);
   }
   std::vector<SlotEvent> mine = MineInSlot(marker, slot);
   ASSERT_EQ(mine.size(), kRingEvents - 1);

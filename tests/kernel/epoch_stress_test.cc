@@ -22,8 +22,7 @@ class EpochStressTest : public KernelTest {};
 
 // Readers hammer the lock-free batch path against segment create/destroy
 // churn in the same container. Every read must come back kOk (object still
-// there), kNotFound (already destroyed), or kCancelled-free plain statuses —
-// never garbage, never a crash.
+// there) or kNotFound (already destroyed) — never garbage, never a crash.
 TEST_F(EpochStressTest, LockFreeReadsRaceCreateDestroy) {
   const ObjectId ct = MakeContainer(Label(Level::k1), kInvalidObject, 8 << 20);
   ASSERT_NE(ct, kInvalidObject);

@@ -144,6 +144,20 @@ TEST_F(PersistTest, RestoreRejectsCorruptBlob) {
   EXPECT_EQ(k2.RestoreObject(bad), Status::kCorrupt);
 }
 
+// Type value 6 was the async submission ring in older images. It is never
+// reused: recovery must reject such an object, not restore it as some other
+// type. A segment blob's trailer is long enough to have parsed as a ring's.
+TEST_F(PersistTest, RestoreRejectsTheRetiredRingType) {
+  ObjectId seg = MakeSegment(Label(), 64);
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(kernel_->SerializeObject(seg, &blob));
+  ASSERT_EQ(blob[1], static_cast<uint8_t>(ObjectType::kSegment));  // [format][type]...
+  blob[1] = 6;
+  Kernel k2;
+  EXPECT_EQ(k2.RestoreObject(blob), Status::kCorrupt);
+  EXPECT_FALSE(k2.ObjectExists(seg));
+}
+
 TEST_F(PersistTest, GateRoundTripKeepsEntryName) {
   kernel_->RegisterGateEntry("svc", [](GateCall&) {});
   CreateSpec spec;

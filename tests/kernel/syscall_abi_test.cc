@@ -1,20 +1,15 @@
 // The batched syscall ABI (PR 3), tested at the descriptor layer.
 //
-// Three properties pin the ABI:
-//  1. Round-trip: EVERY SyscallReq and SyscallRes alternative survives
-//     encode → decode → re-encode byte-identically, and the sample set
-//     provably covers every alternative (a new syscall added without a
-//     sample fails the coverage check here).
-//  2. Equivalence: a one-element batch returns exactly what the legacy
+// Two properties pin the ABI:
+//  1. Equivalence: a one-element batch returns exactly what the legacy
 //     sys_* wrapper returns — swept across the full §2.2 access matrix, so
 //     descriptor dispatch cannot drift from the label semantics the matrix
 //     test pins.
-//  3. Completion semantics: entries execute in submission order, each
+//  2. Completion semantics: entries execute in submission order, each
 //     completion carries its own Status, and a failing entry does not stop
 //     later entries (partial failure is per-entry).
 #include <gtest/gtest.h>
 
-#include <set>
 #include <tuple>
 
 #include "tests/kernel/kernel_test_util.h"
@@ -22,231 +17,7 @@
 namespace histar {
 namespace {
 
-// ---- 1. round-trip property -------------------------------------------------
-
-Label SampleLabel() {
-  return Label(Level::k1, {{42, Level::k3}, {77, Level::kStar}, {9000, Level::k0}});
-}
-
-CreateSpec SampleSpec() {
-  CreateSpec s;
-  s.container = 0x1234;
-  s.label = SampleLabel();
-  s.descrip = "sample";
-  s.quota = 4096;
-  return s;
-}
-
-std::vector<SyscallReq> AllReqSamples() {
-  char* buf = reinterpret_cast<char*>(uintptr_t{0xabcd0});
-  ContainerEntry ce{7, 11};
-  std::vector<SyscallReq> v;
-  v.push_back(CatCreateReq{});
-  v.push_back(SelfSetLabelReq{SampleLabel()});
-  v.push_back(SelfSetClearanceReq{SampleLabel()});
-  v.push_back(SelfGetLabelReq{});
-  v.push_back(SelfGetClearanceReq{});
-  v.push_back(SelfSetAsReq{ce});
-  v.push_back(SelfGetAsReq{});
-  v.push_back(SelfHaltReq{});
-  v.push_back(ThreadCreateReq{SampleSpec(), SampleLabel(), SampleLabel()});
-  v.push_back(ThreadAlertReq{ce, 15});
-  v.push_back(SelfNextAlertReq{});
-  v.push_back(SelfLocalReadReq{buf, 8, 16});
-  v.push_back(SelfLocalWriteReq{buf, 8, 16});
-  v.push_back(ContainerCreateReq{SampleSpec(), 0x3});
-  v.push_back(ContainerUnrefReq{ce});
-  v.push_back(ContainerGetParentReq{5});
-  v.push_back(ContainerListReq{5});
-  v.push_back(ContainerLinkReq{5, ce});
-  v.push_back(ContainerHasReq{5, 6});
-  v.push_back(ObjGetTypeReq{ce});
-  v.push_back(ObjGetLabelReq{ce});
-  v.push_back(ObjGetDescripReq{ce});
-  v.push_back(ObjGetQuotaReq{ce});
-  v.push_back(ObjGetMetadataReq{ce});
-  v.push_back(ObjSetMetadataReq{ce, buf, 32});
-  v.push_back(ObjSetFixedQuotaReq{ce});
-  v.push_back(ObjSetImmutableReq{ce});
-  v.push_back(QuotaMoveReq{5, 6, -128});
-  v.push_back(SegmentCreateReq{SampleSpec(), 512});
-  v.push_back(SegmentCopyReq{SampleSpec(), ce});
-  v.push_back(SegmentResizeReq{ce, 256});
-  v.push_back(SegmentGetLenReq{ce});
-  v.push_back(SegmentReadReq{ce, buf, 4, 8});
-  v.push_back(SegmentWriteReq{ce, buf, 4, 8});
-  v.push_back(AsCreateReq{SampleSpec()});
-  v.push_back(AsSetReq{ce, {Mapping{0x1000, ce, 1, 2, kMapRead | kMapWrite}}});
-  v.push_back(AsGetReq{ce});
-  v.push_back(AsAccessReq{0x2000, buf, 8, true});
-  v.push_back(GateCreateReq{SampleSpec(), SampleLabel(), SampleLabel(), "entry", {1, 2, 3}});
-  v.push_back(GateInvokeReq{ce, SampleLabel(), SampleLabel(), SampleLabel()});
-  v.push_back(GateGetClosureReq{ce});
-  v.push_back(FutexWaitReq{ce, 8, 42, 100});
-  v.push_back(FutexWakeReq{ce, 8, 3});
-  v.push_back(NetMacAddrReq{ce});
-  v.push_back(NetTransmitReq{ce, ce, 0, 64});
-  v.push_back(NetReceiveReq{ce, ce, 0, 64});
-  v.push_back(NetWaitReq{ce, 250});
-  v.push_back(ConsoleWriteReq{ce, "hello"});
-  v.push_back(SyncReq{});
-  v.push_back(SyncObjectReq{ce});
-  v.push_back(SyncPagesReq{ce, 0, 4096});
-  v.push_back(RingCreateReq{SampleSpec(), 32});
-  // The nested-descriptor case: a submission whose ops embed SyscallReqs,
-  // link flags and operand-routing slots (the get_len → read shape).
-  v.push_back(RingSubmitReq{
-      ce,
-      {RingOp{SyscallReq{SegmentGetLenReq{ce}}, kRingLinked, RingSlot::kNone, RingSlot::kNone},
-       RingOp{SyscallReq{SegmentReadReq{ce, buf, 0, 0}}, 0, RingSlot::kLen, RingSlot::kLen}}});
-  v.push_back(RingWaitReq{ce, 17, 250});
-  v.push_back(RingReapReq{ce, 8});
-  v.push_back(TraceReadReq{512});
-  return v;
-}
-
-std::vector<SyscallRes> AllResSamples() {
-  ContainerEntry ce{7, 11};
-  std::vector<SyscallRes> v;
-  v.push_back(CatCreateRes{Status::kOk, 99});
-  v.push_back(SelfSetLabelRes{Status::kLabelCheckFailed});
-  v.push_back(SelfSetClearanceRes{Status::kOk});
-  v.push_back(SelfGetLabelRes{Status::kOk, SampleLabel()});
-  v.push_back(SelfGetClearanceRes{Status::kOk, SampleLabel()});
-  v.push_back(SelfSetAsRes{Status::kOk});
-  v.push_back(SelfGetAsRes{Status::kOk, ce});
-  v.push_back(SelfHaltRes{Status::kOk});
-  v.push_back(ThreadCreateRes{Status::kOk, 31});
-  v.push_back(ThreadAlertRes{Status::kOk});
-  v.push_back(SelfNextAlertRes{Status::kOk, 7});
-  v.push_back(SelfLocalReadRes{Status::kRange});
-  v.push_back(SelfLocalWriteRes{Status::kOk});
-  v.push_back(ContainerCreateRes{Status::kOk, 32});
-  v.push_back(ContainerUnrefRes{Status::kNotFound});
-  v.push_back(ContainerGetParentRes{Status::kOk, 33});
-  v.push_back(ContainerListRes{Status::kOk, {1, 2, 3}});
-  v.push_back(ContainerLinkRes{Status::kExists});
-  v.push_back(ContainerHasRes{Status::kOk, true});
-  v.push_back(ObjGetTypeRes{Status::kOk, ObjectType::kGate});
-  v.push_back(ObjGetLabelRes{Status::kOk, SampleLabel()});
-  v.push_back(ObjGetDescripRes{Status::kOk, "descrip"});
-  v.push_back(ObjGetQuotaRes{Status::kOk, 8192});
-  v.push_back(ObjGetMetadataRes{Status::kOk, {1, 2, 3, 4}});
-  v.push_back(ObjSetMetadataRes{Status::kOk});
-  v.push_back(ObjSetFixedQuotaRes{Status::kOk});
-  v.push_back(ObjSetImmutableRes{Status::kImmutable});
-  v.push_back(QuotaMoveRes{Status::kQuotaExceeded});
-  v.push_back(SegmentCreateRes{Status::kOk, 34});
-  v.push_back(SegmentCopyRes{Status::kOk, 35});
-  v.push_back(SegmentResizeRes{Status::kOk});
-  v.push_back(SegmentGetLenRes{Status::kOk, 512});
-  v.push_back(SegmentReadRes{Status::kOk});
-  v.push_back(SegmentWriteRes{Status::kOk});
-  v.push_back(AsCreateRes{Status::kOk, 36});
-  v.push_back(AsSetRes{Status::kInvalidArg});
-  v.push_back(AsGetRes{Status::kOk, {Mapping{0x1000, ce, 0, 4, kMapRead}}});
-  v.push_back(AsAccessRes{Status::kNoPerm});
-  v.push_back(GateCreateRes{Status::kOk, 37});
-  v.push_back(GateInvokeRes{Status::kOk});
-  v.push_back(GateGetClosureRes{Status::kOk, {9, 8}});
-  v.push_back(FutexWaitRes{Status::kTimedOut});
-  v.push_back(FutexWakeRes{Status::kOk, 2});
-  v.push_back(NetMacAddrRes{Status::kOk, {1, 2, 3, 4, 5, 6}});
-  v.push_back(NetTransmitRes{Status::kAgain});
-  v.push_back(NetReceiveRes{Status::kOk, 60});
-  v.push_back(NetWaitRes{Status::kOk});
-  v.push_back(ConsoleWriteRes{Status::kOk});
-  v.push_back(SyncRes{Status::kOk});
-  v.push_back(SyncObjectRes{Status::kOk});
-  v.push_back(SyncPagesRes{Status::kCrashed});
-  v.push_back(RingCreateRes{Status::kOk, 38});
-  v.push_back(RingSubmitRes{Status::kOk, 41});
-  v.push_back(RingWaitRes{Status::kTimedOut});
-  // Nested completions, including a cancelled op and an unfilled monostate
-  // (the raw-index nested wire form must round-trip index 0 too).
-  v.push_back(RingReapRes{
-      Status::kOk,
-      {RingCompletion{40, SyscallRes{SegmentGetLenRes{Status::kOk, 64}}},
-       RingCompletion{41, SyscallRes{SegmentReadRes{Status::kCancelled}}},
-       RingCompletion{42, SyscallRes{std::monostate{}}}}});
-  // Flow-checked trace export: an event list plus the counted-but-withheld
-  // tally (kernel.h sys_trace_read). code carries a Status as two's-
-  // complement u32 — the negative value must survive the round trip.
-  v.push_back(TraceReadRes{
-      Status::kOk,
-      /*total=*/5,
-      /*withheld=*/2,
-      {TraceEventWire{1234567, 42, 7, 0, 99, 3, 4096, 5, 6, 1,
-                      static_cast<uint32_t>(-7), 12, /*gen=*/3},
-       TraceEventWire{1234999, 8, 1, 2, 100, 3, 0, 0, 0, 4, 0, 0}}});
-  return v;
-}
-
-TEST(SyscallAbi, EveryReqAlternativeRoundTrips) {
-  std::vector<SyscallReq> samples = AllReqSamples();
-  std::set<size_t> seen;
-  for (const SyscallReq& req : samples) {
-    seen.insert(req.index());
-    std::vector<uint8_t> wire;
-    EncodeReq(req, &wire);
-    SyscallReq back = CatCreateReq{};
-    size_t consumed = 0;
-    ASSERT_TRUE(DecodeReq(wire.data(), wire.size(), &consumed, &back))
-        << "alternative " << req.index();
-    EXPECT_EQ(consumed, wire.size()) << "alternative " << req.index();
-    EXPECT_EQ(back.index(), req.index());
-    std::vector<uint8_t> wire2;
-    EncodeReq(back, &wire2);
-    EXPECT_EQ(wire, wire2) << "re-encode mismatch, alternative " << req.index();
-  }
-  // Coverage: the sample set exercises every alternative exactly once.
-  EXPECT_EQ(samples.size(), kNumSyscallKinds);
-  EXPECT_EQ(seen.size(), kNumSyscallKinds)
-      << "a SyscallReq alternative has no round-trip sample";
-}
-
-TEST(SyscallAbi, EveryResAlternativeRoundTrips) {
-  std::vector<SyscallRes> samples = AllResSamples();
-  std::set<size_t> seen;
-  for (const SyscallRes& res : samples) {
-    seen.insert(res.index());
-    std::vector<uint8_t> wire;
-    EncodeRes(res, &wire);
-    SyscallRes back;
-    size_t consumed = 0;
-    ASSERT_TRUE(DecodeRes(wire.data(), wire.size(), &consumed, &back))
-        << "alternative " << res.index();
-    EXPECT_EQ(consumed, wire.size());
-    EXPECT_EQ(back.index(), res.index());
-    std::vector<uint8_t> wire2;
-    EncodeRes(back, &wire2);
-    EXPECT_EQ(wire, wire2) << "re-encode mismatch, alternative " << res.index();
-  }
-  EXPECT_EQ(samples.size(), kNumSyscallKinds);
-  EXPECT_EQ(seen.size(), kNumSyscallKinds)
-      << "a SyscallRes alternative has no round-trip sample";
-}
-
-TEST(SyscallAbi, TruncatedDescriptorsFailCleanly) {
-  for (const SyscallReq& req : AllReqSamples()) {
-    std::vector<uint8_t> wire;
-    EncodeReq(req, &wire);
-    // Every strict prefix must decode to failure, never out-of-bounds.
-    for (size_t cut = 0; cut < wire.size(); ++cut) {
-      SyscallReq back = CatCreateReq{};
-      size_t consumed = 0;
-      bool decoded = DecodeReq(wire.data(), cut, &consumed, &back);
-      if (decoded) {
-        // A shorter *valid* descriptor can only happen if the alternative's
-        // tail fields were variable-length — re-encoding must then consume
-        // exactly what decode consumed, never the bytes we cut off.
-        EXPECT_LE(consumed, cut);
-      }
-    }
-  }
-}
-
-// ---- 2. equivalence: one-element batches vs legacy wrappers -----------------
+// ---- 1. equivalence: one-element batches vs legacy wrappers -----------------
 //
 // The same (thread level, object level) sweep as access_matrix_test.cc, but
 // asserting that the explicit descriptor path and the legacy wrapper return
@@ -311,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
       return "T" + name(std::get<0>(info.param)) + "_O" + name(std::get<1>(info.param));
     });
 
-// ---- 3. completion semantics ------------------------------------------------
+// ---- 2. completion semantics ------------------------------------------------
 
 class SubmitBatchTest : public KernelTest {};
 

@@ -5,8 +5,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <thread>
+
 namespace histar {
 namespace {
+
+// ThreadSanitizer slows each of the syscalls of a tunnel exchange many
+// times over, so wall-clock bounds hold only in uninstrumented builds.
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kTimedBuild = false;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool kTimedBuild = false;
+#else
+constexpr bool kTimedBuild = true;
+#endif
+#else
+constexpr bool kTimedBuild = true;
+#endif
 
 class VpnTest : public ::testing::Test {
  protected:
@@ -46,6 +65,17 @@ class VpnTest : public ::testing::Test {
     return kernel_->BootstrapThread(l, c, name);
   }
 
+  static bool RecvAll(NetDaemon* d, ObjectId self, uint64_t sock, uint8_t* buf, uint64_t len) {
+    for (uint64_t got = 0; got < len;) {
+      Result<uint64_t> n = d->Recv(self, sock, buf + got, len - got, 5000);
+      if (!n.ok() || n.value() == 0) {
+        return false;
+      }
+      got += n.value();
+    }
+    return true;
+  }
+
   std::unique_ptr<NetSwitch> inet_switch_;
   std::unique_ptr<Kernel> kernel_;
   std::unique_ptr<UnixWorld> world_;
@@ -79,6 +109,40 @@ TEST_F(VpnTest, EchoThroughTheTunnel) {
   EXPECT_GT(vpn_->frames_out(), 0u);
   EXPECT_GT(vpn_->frames_in(), 0u);
   EXPECT_GT(gateway_->frames_tunneled(), 0u);
+}
+
+// vpnd gives each direction its own thread, blocked on its own source, so
+// a frame waits neither for a tun poll nor for a Recv slice on the tunnel
+// socket. Each exchange starts after a 1 ms pause, with every daemon thread
+// asleep, as a request of an interactive protocol would.
+TEST_F(VpnTest, TunnelExchangesDoNotWaitForAPollTimer) {
+  NetDaemon* stack = vpn_->vpn_stack();
+  ObjectId app = MakeClient(stack, "vpn-app");
+  CurrentThread bind(app);
+  constexpr int kExchanges = 40;
+  constexpr size_t kMsg = 64;
+  Result<uint64_t> conn = stack->Connect(app, gateway_->remote_host_mac(), 7);
+  ASSERT_TRUE(conn.ok()) << StatusName(conn.status());
+  std::vector<double> ms;
+  for (int i = 0; i < kExchanges; ++i) {
+    uint8_t req[kMsg];
+    uint8_t resp[kMsg] = {};
+    for (size_t k = 0; k < kMsg; ++k) {
+      req[k] = static_cast<uint8_t>(i * 31 + k);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(stack->Send(app, conn.value(), req, kMsg).ok()) << "exchange " << i;
+    ASSERT_TRUE(RecvAll(stack, app, conn.value(), resp, kMsg)) << "exchange " << i;
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count());
+    ASSERT_EQ(memcmp(req, resp, kMsg), 0) << "exchange " << i;
+  }
+  std::nth_element(ms.begin(), ms.begin() + kExchanges / 2, ms.end());
+  if (kTimedBuild) {
+    EXPECT_LT(ms[kExchanges / 2], 2.0) << "median 64 B tunnel exchange, ms";
+  }
 }
 
 TEST_F(VpnTest, VpnTaintedAppCannotUseInternetStack) {

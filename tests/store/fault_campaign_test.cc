@@ -2,7 +2,7 @@
 //
 // Drives seeded multi-crash schedules against the single-level store across
 // base checkpoints, increments, WAL appends, and base rollovers, on three
-// workloads (dirty-heavy, label-churn, ring-driven). Each round mutates the
+// workloads (dirty-heavy, label-churn, batch-driven). Each round mutates the
 // live kernel, arms one fault from the DiskModel FaultPlan / StoreAlloc
 // repertoire (torn write, misdirected write, read error, write error, bit
 // flip, full-device crash, allocation failure — or none), syncs, then boots
@@ -39,7 +39,7 @@
 namespace histar {
 namespace {
 
-enum class Workload { kDirtyHeavy, kLabelChurn, kRingDriven };
+enum class Workload { kDirtyHeavy, kLabelChurn, kBatchDriven };
 
 StoreTuning CampaignTuning() {
   StoreTuning t;
@@ -53,7 +53,7 @@ const char* WorkloadName(Workload w) {
   switch (w) {
     case Workload::kDirtyHeavy: return "dirty-heavy";
     case Workload::kLabelChurn: return "label-churn";
-    case Workload::kRingDriven: return "ring-driven";
+    case Workload::kBatchDriven: return "batch-driven";
   }
   return "?";
 }
@@ -154,15 +154,6 @@ class Schedule {
   }
 
   void SetupWorkload() {
-    if (workload_ == Workload::kRingDriven) {
-      CreateSpec spec;
-      spec.container = kernel_->root_container();
-      spec.descrip = "fc-ring";
-      spec.quota = 16 * kPageSize;
-      Result<ObjectId> r = kernel_->sys_ring_create(init_, spec, 0);
-      ASSERT_TRUE(r.ok()) << StatusName(r.status());
-      ring_ = r.value();
-    }
     if (workload_ == Workload::kLabelChurn) {
       Result<CategoryId> c = kernel_->sys_cat_create(init_);
       ASSERT_TRUE(c.ok());
@@ -209,23 +200,18 @@ class Schedule {
         }
         break;
       }
-      case Workload::kRingDriven: {
-        // Dirty objects through the async ring: submit a linked chain of
-        // segment writes, wait, reap. The ring object itself churns too.
-        std::vector<uint64_t> stamps(4);
-        std::vector<RingOp> ops;
+      case Workload::kBatchDriven: {
+        // Dirty objects through the batched ABI: three stamped segment
+        // writes submitted as one SubmitBatch, run under one group lock.
+        uint64_t stamps[3] = {};
+        std::vector<SyscallReq> reqs;
         for (int i = 0; i < 3 && !segs_.empty(); ++i) {
           ObjectId s = segs_[rng_() % segs_.size()];
-          stamps[static_cast<size_t>(i)] = rng_();
-          ops.push_back(RingOp{SyscallReq{
-              SegmentWriteReq{RootEntry(s), &stamps[static_cast<size_t>(i)], 0, 8}}});
+          stamps[i] = rng_();
+          reqs.push_back(SegmentWriteReq{RootEntry(s), &stamps[i], 0, 8});
         }
-        ContainerEntry re = RootEntry(ring_);
-        Result<uint64_t> t = kernel_->sys_ring_submit(init_, re, std::move(ops));
-        if (t.ok()) {
-          (void)kernel_->sys_ring_wait(init_, re, t.value(), 5000);
-          (void)kernel_->sys_ring_reap(init_, re, 0);
-        }
+        std::vector<SyscallRes> res(reqs.size());
+        (void)kernel_->SubmitBatch(init_, reqs, res);
         break;
       }
     }
@@ -449,7 +435,6 @@ class Schedule {
   std::unique_ptr<SingleLevelStore> store_;
   std::unique_ptr<Kernel> kernel_;
   ObjectId init_ = kInvalidObject;
-  ObjectId ring_ = kInvalidObject;
   CategoryId cat_ = 0;
   std::vector<ObjectId> segs_;
   std::unique_ptr<CrashOracle> oracle_;
@@ -465,7 +450,7 @@ TEST(FaultCampaign, RandomizedSchedulesRecoverConsistently) {
   const uint64_t replay_seed = EnvU64("FAULT_SEED", 0);
   const uint64_t per_workload = replay_seed != 0 ? 1 : EnvU64("FAULT_SCHEDULES", 70);
 
-  for (Workload w : {Workload::kDirtyHeavy, Workload::kLabelChurn, Workload::kRingDriven}) {
+  for (Workload w : {Workload::kDirtyHeavy, Workload::kLabelChurn, Workload::kBatchDriven}) {
     for (uint64_t i = 0; i < per_workload; ++i) {
       // Seed derivation is stable so any schedule replays from its printed
       // seed alone (plus the workload, also printed).

@@ -73,13 +73,11 @@ bool MatchesDecl(const std::string& line, const std::string& type) {
   return false;
 }
 
-// The kernel translation units whose label checks must be registry-mediated
-// (the old hot_path_audit_test list, now owned by the linter).
+// The kernel translation units whose label checks must be registry-mediated.
 const char* kKernelLabelSources[] = {
     "src/kernel/kernel.cc",       "src/kernel/kernel_seg.cc",
     "src/kernel/kernel_thread.cc", "src/kernel/kernel_persist.cc",
     "src/kernel/kernel_batch.cc", "src/kernel/syscall_abi.cc",
-    "src/kernel/ring.cc",
 };
 
 bool IsKernelLabelSource(const std::string& path) {
