@@ -1,23 +1,15 @@
-// Ablation: the sharded object table (PR 2's split of Kernel::mu_).
+// Contention rows for the object table's one reader/writer lock.
 //
-// PR 1 made label checks a memoized hash probe, which left the old
-// kernel-wide mutex as the dominant cost of a read-only syscall: every
-// ResolveEntry serialized on one lock no matter which object it touched.
-// This bench pits table shards=1 (one shared_mutex in front of the whole
-// table — the closest sharded-code analogue of the old single-mutex design)
-// against the default shard count, mirroring BM_RegistryLeqContended in
-// ablation_labels.cc:
+// Every locked syscall takes the table's single SharedMutex once; these
+// rows keep the lock's cost under contention visible (EXPERIMENTS.md, "One
+// table lock"):
 //
 //   * BM_ObjTableResolveContended — pure read-mostly resolve (segment
-//     reads over a pool of segments spread across shards). With one shard
-//     every reader bounces the same lock cache line; sharded, readers
-//     touch disjoint locks and the row should stay near-flat on multicore
-//     hosts (the single-CPU CI container flattens both rows — see
-//     EXPERIMENTS.md for the caveat).
+//     reads over a pool of segments), all under the shared lock.
 //   * BM_ObjTableMixedContended — same read stream with a private-segment
-//     write mixed in every 4th op. Writers take exclusive shard locks, so
-//     one shard serializes readers behind every write; sharded, a write
-//     only stalls the 1/N of readers hashing into its shard.
+//     write mixed in every 4th op; each write takes the lock exclusive and
+//     stalls every reader.
+//   * BM_ObjTableCreateUnref — create + unref round trips, both exclusive.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -39,13 +31,13 @@ struct ObjWorld {
   std::unique_ptr<Kernel> kernel;
   ObjectId root = kInvalidObject;
   std::vector<ObjectId> threads;        // one kernel thread per bench thread
-  std::vector<ObjectId> shared_segs;    // read pool, spread across shards
+  std::vector<ObjectId> shared_segs;    // read pool
   std::vector<ObjectId> private_segs;   // one write target per bench thread
 };
 ObjWorld g_world;
 
-bool BuildWorld(size_t shards) {
-  g_world.kernel = std::make_unique<Kernel>(shards);
+bool BuildWorld() {
+  g_world.kernel = std::make_unique<Kernel>();
   Kernel* k = g_world.kernel.get();
   g_world.root = k->root_container();
   g_world.threads.clear();
@@ -85,17 +77,13 @@ bool BuildWorld(size_t shards) {
   return true;
 }
 
-void TearDownWorld(::benchmark::State& state) {
-  state.counters["shards"] = ::benchmark::Counter(
-      static_cast<double>(g_world.kernel->object_table().shard_count()));
-  g_world.kernel.reset();
-}
+void TearDownWorld() { g_world.kernel.reset(); }
 
 // Pure resolve: every iteration is one sys_segment_read — ResolveEntry plus
 // a memoized label check — against a random shared segment.
 void BM_ObjTableResolveContended(::benchmark::State& state) {
   if (state.thread_index() == 0) {
-    if (!BuildWorld(static_cast<size_t>(state.range(0)))) {
+    if (!BuildWorld()) {
       state.SkipWithError("world boot failed");
       return;
     }
@@ -121,23 +109,20 @@ void BM_ObjTableResolveContended(::benchmark::State& state) {
     ::benchmark::DoNotOptimize(buf);
   }
   if (state.thread_index() == 0) {
-    TearDownWorld(state);
+    TearDownWorld();
   }
 }
 BENCHMARK(BM_ObjTableResolveContended)
-    ->Arg(1)
-    ->Arg(16)
-    ->ArgName("shards")
     ->ThreadRange(1, kMaxThreads)
     ->UseRealTime()
     ->Unit(::benchmark::kNanosecond);
 
 // Mixed: 3 reads of random shared segments + 1 write to this thread's
-// private segment per 4 iterations. The write's exclusive lock is what
-// separates the two configurations: at shards=1 it stalls every reader.
+// private segment per 4 iterations. The write's exclusive lock stalls every
+// reader.
 void BM_ObjTableMixedContended(::benchmark::State& state) {
   if (state.thread_index() == 0) {
-    if (!BuildWorld(static_cast<size_t>(state.range(0)))) {
+    if (!BuildWorld()) {
       state.SkipWithError("world boot failed");
       return;
     }
@@ -170,23 +155,20 @@ void BM_ObjTableMixedContended(::benchmark::State& state) {
     ::benchmark::DoNotOptimize(buf);
   }
   if (state.thread_index() == 0) {
-    TearDownWorld(state);
+    TearDownWorld();
   }
 }
 BENCHMARK(BM_ObjTableMixedContended)
-    ->Arg(1)
-    ->Arg(16)
-    ->ArgName("shards")
     ->ThreadRange(1, kMaxThreads)
     ->UseRealTime()
     ->Unit(::benchmark::kNanosecond);
 
 // Create/unref round trip: the heavyweight path (exclusive create +
-// all-shards destroy). Kept single-configuration-comparable so EXPERIMENTS
-// can report how much the all-shards unref costs relative to resolve.
+// exclusive destroy), so EXPERIMENTS can report what mutation costs
+// relative to resolve.
 void BM_ObjTableCreateUnref(::benchmark::State& state) {
   if (state.thread_index() == 0) {
-    if (!BuildWorld(static_cast<size_t>(state.range(0)))) {
+    if (!BuildWorld()) {
       state.SkipWithError("world boot failed");
       return;
     }
@@ -212,13 +194,10 @@ void BM_ObjTableCreateUnref(::benchmark::State& state) {
     }
   }
   if (state.thread_index() == 0) {
-    TearDownWorld(state);
+    TearDownWorld();
   }
 }
 BENCHMARK(BM_ObjTableCreateUnref)
-    ->Arg(1)
-    ->Arg(16)
-    ->ArgName("shards")
     ->ThreadRange(1, 4)
     ->UseRealTime()
     ->Unit(::benchmark::kNanosecond);

@@ -10,10 +10,9 @@
 //
 // Every kernel call made below is one row of docs/syscalls.md, which
 // tabulates the full syscall surface: the §3 label-check rule each call
-// enforces and the object-table shard locks it takes (the kernel is
-// internally sharded — see ARCHITECTURE.md "Concurrency model" — but none
-// of that is visible here: syscalls are linearizable, just no longer
-// serialized behind one big lock).
+// enforces and the mode in which it takes the object-table lock (see
+// ARCHITECTURE.md "Concurrency model" — none of that is visible here:
+// syscalls are linearizable, and warm reads take no lock at all).
 #include <cstdio>
 #include <string>
 
@@ -106,7 +105,7 @@ int main() {
        kernel.sys_segment_write(init, ContainerEntry{world->tmp_dir(), scratch}, "ok", 0, 2));
 
   // --- 5. Processes are just a library convention ----------------------------------
-  world->procs().RegisterProgram("hello", [](ProcessContext& ctx) -> int64_t {
+  world->procs().RegisterProgram("hello", [](ProcessContext&) -> int64_t {
     // This runs as a full HiStar process: own pr/pw categories, container
     // pair, exit segment, signal gate — all built by unprivileged code.
     return 42;

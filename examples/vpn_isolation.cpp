@@ -8,7 +8,11 @@
 // encrypts/decrypts. A browser tainted v2 (it read corporate data) cannot
 // send a byte to the Internet; an Internet-tainted process cannot touch the
 // VPN — the Slammer-through-the-VPN scenario the paper opens §6.3 with.
+//
+// Exits non-zero unless the echo round-trips through the tunnel and all
+// three cross-network attempts fail the label check.
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/net/vpn.h"
@@ -34,16 +38,20 @@ int main() {
   std::printf("== VPN isolation (paper §6.3) ==\n\n");
 
   // The open Internet: a switch, our machine's stack, and a remote VPN
-  // gateway that fronts the firewalled corporate network.
+  // gateway that fronts the firewalled corporate network. The gateway is a
+  // different machine in spirit, so it runs its own stack on its own
+  // switch port; vpnd dials that stack's address.
   NetSwitch internet;
   std::unique_ptr<NetDaemon> inet = NetDaemon::Start(world.get(), internet.NewPort(), "netd-i");
-  ObjectId gw_client = MakeClient(&kernel, inet.get(), "vpn-gateway");
-  VpnGatewaySim gateway(inet.get(), &kernel, gw_client, 1194, /*key=*/0x5c);
+  std::unique_ptr<NetDaemon> gw_stack =
+      NetDaemon::Start(world.get(), internet.NewPort(), "netd-gw");
+  ObjectId gw_client = MakeClient(&kernel, gw_stack.get(), "vpn-gateway");
+  VpnGatewaySim gateway(gw_stack.get(), &kernel, gw_client, 1194, /*key=*/0x5c);
 
   // vpnd: the only component owning both i and v. 300 lines of tun device +
   // driver in the paper; the only trusted piece of this picture.
   std::unique_ptr<VpnDaemon> vpnd =
-      VpnDaemon::Start(world.get(), inet.get(), gateway.remote_host_mac(), 1194, 0x5c);
+      VpnDaemon::Start(world.get(), inet.get(), gw_stack->mac(), 1194, 0x5c);
   std::printf("categories: i (Internet taint) owned by netd's creator,\n"
               "            v=%llx (VPN taint) owned only by vpnd\n\n",
               static_cast<unsigned long long>(vpnd->v()));
@@ -54,14 +62,24 @@ int main() {
       vpnd->vpn_stack()->Connect(browser, gateway.remote_host_mac(), 7 /* echo */);
   std::printf("browser connects to corporate echo host over the VPN -> %s\n",
               std::string(StatusName(conn.status())).c_str());
+  bool echoed = false;
   if (conn.ok()) {
     const char ping[] = "quarterly numbers?";
-    vpnd->vpn_stack()->Send(browser, conn.value(), ping, sizeof(ping) - 1);
+    const uint64_t len = sizeof(ping) - 1;
+    vpnd->vpn_stack()->Send(browser, conn.value(), ping, len);
     char echo[64] = {};
-    Result<uint64_t> n =
-        vpnd->vpn_stack()->Recv(browser, conn.value(), echo, sizeof(echo), 5000);
+    uint64_t got = 0;
+    while (got < len) {
+      Result<uint64_t> n =
+          vpnd->vpn_stack()->Recv(browser, conn.value(), echo + got, sizeof(echo) - got, 5000);
+      if (!n.ok() || n.value() == 0) {
+        break;
+      }
+      got += n.value();
+    }
+    echoed = got == len && std::memcmp(echo, ping, len) == 0;
     std::printf("corporate host echoes: \"%.*s\"  (%llu tunneled frames so far)\n",
-                n.ok() ? static_cast<int>(n.value()) : 0, echo,
+                static_cast<int>(got), echo,
                 static_cast<unsigned long long>(gateway.frames_tunneled()));
   }
 
@@ -95,7 +113,17 @@ int main() {
 
   vpnd->Stop();
   gateway.Stop();
+  gw_stack->Stop();
   inet->Stop();
   CurrentThread::Set(kInvalidObject);
+  const bool isolated = leak.status() == Status::kLabelCheckFailed &&
+                        raw == Status::kLabelCheckFailed &&
+                        cross.status() == Status::kLabelCheckFailed;
+  if (!echoed || !isolated) {
+    std::fprintf(stderr, "vpn_isolation: %s\n",
+                 !echoed ? "the echo did not round-trip through the tunnel"
+                         : "a cross-network attempt did not fail the label check");
+    return 1;
+  }
   return 0;
 }

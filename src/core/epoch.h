@@ -2,8 +2,8 @@
 //
 // The warm read path (ObjectTable::GetPublished, the LabelRegistry memo
 // tables, container link snapshots) dereferences pointers published with a
-// release store and read with an acquire load — no shard mutex. Mutators
-// still run under the PR 2 exclusive TableLock; when they unlink a
+// release store and read with an acquire load — no mutex. Mutators
+// still run under the exclusive TableLock; when they unlink a
 // structure a concurrent reader may still hold, they hand it to
 // EpochDomain::Retire instead of deleting it. The domain frees it only
 // once every reader that could have seen the pointer has left its
@@ -75,7 +75,7 @@ class EpochDomain {
   void Exit();
 
   // Hands `p` to the domain for deferred deletion. Safe to call with or
-  // without a guard held (mutators typically hold the exclusive shard
+  // without a guard held (mutators typically hold the exclusive table
   // lock, not a guard). Opportunistically collects when the limbo list
   // grows past a threshold, so garbage stays bounded without a dedicated
   // reclaimer thread.

@@ -104,7 +104,7 @@ LabelId LabelRegistry::Intern(const Label& l) {
 }
 
 const LabelRegistry::Entry& LabelRegistry::EntryOf(LabelId id) const {
-  const InternShard& shard = *intern_shards_[ShardOf(id)];
+  const InternShard& shard = *intern_shards_[ShardFromId(id)];
   size_t slot = SlotOf(id);
   // The acquire on count pairs with Intern's release publish; chunks are
   // never freed or moved, so the reference is stable without a lock.
@@ -122,7 +122,7 @@ bool LabelRegistry::Known(LabelId id) const {
   if (id == kInvalidLabelId) {
     return false;
   }
-  const InternShard& shard = *intern_shards_[ShardOf(id)];
+  const InternShard& shard = *intern_shards_[ShardFromId(id)];
   // SlotOf underflows to a huge value when the id's slot bits are zero
   // (never handed out), so the single bound check covers malformed ids too.
   return SlotOf(id) < shard.count.load(std::memory_order_acquire);

@@ -224,7 +224,7 @@ class LabelRegistry {
   LabelId MakeId(size_t shard, size_t slot) const {
     return static_cast<LabelId>(((slot + 1) << shard_bits_) | shard);
   }
-  size_t ShardOf(LabelId id) const { return id & (shard_count_ - 1); }
+  size_t ShardFromId(LabelId id) const { return id & (shard_count_ - 1); }
   size_t SlotOf(LabelId id) const { return (id >> shard_bits_) - 1; }
 
   const Entry& EntryOf(LabelId id) const;

@@ -76,8 +76,9 @@
 #define EXCLUDES(...) HISTAR_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
 // Runtime-checked assertion that the capability is held; tells the
-// analysis to treat it as held from here on (used by *Locked bodies
-// reached through a dynamically-chosen lock set, e.g. TableLock shards).
+// analysis to treat it as held from here on (used by accessors whose
+// lock the caller took in a mode the analysis cannot see, e.g. the
+// object table's mutex under a runtime-mode TableLock).
 #define ASSERT_CAPABILITY(x) \
   HISTAR_THREAD_ANNOTATION_(assert_capability(x))
 #define ASSERT_SHARED_CAPABILITY(x) \

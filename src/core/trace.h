@@ -84,7 +84,7 @@ enum class EventKind : uint8_t {
   kNone = 0,
   kSyscall = 1,       // a=resolved object id, b=calling kernel thread id;
                       // aux=SyscallReq alternative index, code=Status
-  kTableLock = 2,     // a=shard mask, b=exclusive?1:0, c=group size
+  kTableLock = 2,     // a=exclusive?1:0, b=group size
   kEpochAdvance = 3,  // a=items freed, b=global epoch after
   kEpochRetire = 4,   // a=approx limbo size after the retire
   kStoreCommit = 5,   // a=bytes written, b=device write ops;
@@ -270,7 +270,7 @@ uint64_t BeginSyscallGroup();
 // which stopped early and left events pending forever.
 void FinishSyscallGroup(uint64_t start_seq, uint64_t t0_ns, uint64_t t1_ns);
 
-// Generic event record (table locks, ring chains, epoch, faults). Reads
+// Generic event record (table locks, epoch, faults). Reads
 // the clock itself when ts_ns == 0.
 void RecordEvent(EventKind kind, uint64_t a, uint64_t b, uint64_t c,
                  int8_t code = 0, uint16_t aux = 0, uint32_t dur_ns = 0,

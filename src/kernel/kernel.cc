@@ -2,13 +2,12 @@
 // syscalls, and the quota system.
 //
 // Locking convention used throughout the syscall implementations: the
-// syscall computes the ObjectIds it will touch (self, the ⟨D,O⟩ entries,
-// any freshly allocated id), takes ONE TableLock over their shards — shared
-// for read-only paths, exclusive when anything is mutated — and holds it for
-// the duration of the checks and the state change. Operations whose object
-// set cannot be known up front (recursive destroy, alerts through a target's
-// address space) take an all-shards TableLock. Futex wakeups happen after
-// the table locks are released (futex_mu_ and shard locks never nest).
+// syscall takes ONE TableLock — shared for read-only paths, exclusive when
+// anything is mutated — and holds it for the duration of the checks and
+// the state change. The lock covers the whole table, so a syscall never
+// needs to know in advance which objects it will reach (recursive destroy,
+// alerts through a target's address space). Futex wakeups happen after the
+// table lock is released (futex_mu_ and the table lock never nest).
 #include "src/kernel/kernel.h"
 
 #include <algorithm>
@@ -34,7 +33,7 @@ bool PublishedReadMode::Active() { return g_published_reads; }
 
 bool Container::HasLink(ObjectId o) const {
   // Read through the published snapshot when one exists: it is identical to
-  // links_ under any shard lock (mutators republish before unlocking), and
+  // links_ under the table lock (mutators republish before unlocking), and
   // it is the only safe view for a lock-free reader (the live vector may be
   // reallocating under a concurrent LinkInto).
   const std::vector<ObjectId>* snap = links_snapshot();
@@ -51,7 +50,7 @@ const Mapping* AddressSpace::Lookup(uint64_t va) const {
   return nullptr;
 }
 
-Kernel::Kernel(size_t table_shards) : table_(table_shards) {
+Kernel::Kernel() {
   // Flight-recorder events recorded while this kernel runs carry label ids
   // from ITS registry; publishing the registry's instance id as the
   // recorder's label generation is what lets sys_trace_read reject a stale
@@ -62,14 +61,13 @@ Kernel::Kernel(size_t table_shards) : table_(table_shards) {
   // The root container: label {1}, quota ∞, never deallocated. Its "fake
   // parent" is labeled {3} in the paper; we model that by making the parent
   // id invalid and refusing get_parent on the root.
-  Result<ObjectId> id = AllocObjectId();
-  auto root = std::make_unique<Container>(id.value(), registry_.Intern(Label(Level::k1)), 0,
-                                          kInvalidObject);
+  TableLock lk(table_, TableLock::Mode::kExclusive);
+  auto root = std::make_unique<Container>(AllocObjectIdLocked(),
+                                          registry_.Intern(Label(Level::k1)), 0, kInvalidObject);
   root->set_quota_internal(kQuotaInfinite);
   root->set_descrip_internal("root");
   root->add_link_internal();  // permanent anchor link
   root_ = root->id();
-  TableLock lk(table_, TableLock::Mode::kExclusive, {root_});
   InsertObject(std::move(root));
 }
 
@@ -80,13 +78,12 @@ ObjectId Kernel::BootstrapThread(const Label& label, const Label& clearance,
   if (container == kInvalidObject) {
     container = root_;
   }
-  Result<ObjectId> id = AllocObjectId();
-  TableLock lk(table_, TableLock::Mode::kExclusive, {container, id.value()});
+  TableLock lk(table_, TableLock::Mode::kExclusive);
   Container* d = GetContainer(container);
   if (d == nullptr) {
     return kInvalidObject;
   }
-  auto t = std::make_unique<Thread>(id.value(), registry_.Intern(label),
+  auto t = std::make_unique<Thread>(AllocObjectIdLocked(), registry_.Intern(label),
                                     registry_.Intern(clearance));
   t->set_quota_internal(64 * kPageSize);
   t->set_descrip_internal(descrip);
@@ -99,10 +96,9 @@ ObjectId Kernel::BootstrapThread(const Label& label, const Label& clearance,
 
 ObjectId Kernel::BootstrapDevice(DeviceKind kind, const Label& label,
                                  const std::string& descrip) {
-  Result<ObjectId> id = AllocObjectId();
-  TableLock lk(table_, TableLock::Mode::kExclusive, {root_, id.value()});
+  TableLock lk(table_, TableLock::Mode::kExclusive);
   Container* d = GetContainer(root_);
-  auto dev = std::make_unique<Device>(id.value(), registry_.Intern(label), kind);
+  auto dev = std::make_unique<Device>(AllocObjectIdLocked(), registry_.Intern(label), kind);
   dev->set_quota_internal(64 * kPageSize);
   dev->set_descrip_internal(descrip);
   Device* raw = dev.get();
@@ -113,7 +109,7 @@ ObjectId Kernel::BootstrapDevice(DeviceKind kind, const Label& label,
 }
 
 bool Kernel::AttachNetPort(ObjectId device, NetPort* port) {
-  TableLock lk(table_, TableLock::Mode::kExclusive, {device});
+  TableLock lk(table_, TableLock::Mode::kExclusive);
   Object* o = Get(device);
   if (o == nullptr || o->type() != ObjectType::kDevice) {
     return false;
@@ -158,7 +154,7 @@ uint64_t Kernel::syscall_count() const {
   return n;
 }
 
-// ---- internal helpers (shard-lock requirements in kernel.h) ------------------
+// ---- internal helpers (table-lock requirements in kernel.h) ------------------
 
 Object* Kernel::Get(ObjectId id) const {
   if (PublishedReadMode::Active()) {
@@ -324,10 +320,8 @@ void Kernel::DestroyObject(ObjectId id, std::vector<ObjectId>* destroyed_segment
   }
   if (o->type() == ObjectType::kContainer) {
     Container* c = static_cast<Container*>(o);
-    // Recursively unreference the whole subtree (paper §3.2). The subtree
-    // can land in any shard, which is why destroying a *container* requires
-    // ALL shards exclusive (kernel.h); callers reach this case via
-    // an all-shards TableLock (UnrefOnce escalates before it gets here).
+    // Recursively unreference the whole subtree (paper §3.2) under the
+    // caller's exclusive table lock.
     std::vector<ObjectId> children = c->links();
     for (ObjectId child : children) {
       Object* co = Get(child);
@@ -340,8 +334,8 @@ void Kernel::DestroyObject(ObjectId id, std::vector<ObjectId>* destroyed_segment
       }
     }
   } else if (o->type() == ObjectType::kSegment) {
-    // Futex queues keyed by the segment are torn down only after the shard
-    // locks drop: the caller hands this list to WakeAllFutexes.
+    // Futex queues keyed by the segment are torn down only after the table
+    // lock drops: the caller hands this list to WakeAllFutexes.
     destroyed_segments->push_back(id);
   }
   // Destroyed threads need no flag or futex wake: the erase below makes
@@ -384,18 +378,13 @@ void Kernel::InsertObject(std::unique_ptr<Object> obj) {
   table_.InsertLocked(std::move(obj));
 }
 
-Result<ObjectId> Kernel::AllocObjectId() {
-  // Called with no shard lock held (kernel.h): the existence probe takes the
-  // candidate's shard briefly. The allocator is a counter behind a cipher,
-  // so two concurrent calls never produce the same id — the probe only
-  // guards against collision with restored objects.
+ObjectId Kernel::AllocObjectIdLocked() {
+  // The allocator is a counter behind a cipher, so two calls never produce
+  // the same id — the probe only guards against collision with restored
+  // objects.
   for (;;) {
     ObjectId id = objid_alloc_.Allocate();
-    if (id == kLocalSegmentId) {
-      continue;
-    }
-    TableLock lk(table_, TableLock::Mode::kShared, {id});
-    if (!table_.ContainsLocked(id)) {
+    if (id != kLocalSegmentId && !table_.ContainsLocked(id)) {
       return id;
     }
   }
@@ -413,14 +402,14 @@ void Kernel::CountSyscalls(ObjectId self, uint64_t n) {
 }
 
 void Kernel::DoTraceRead(ObjectId self, uint32_t max_events, TraceReadRes* out) {
-  // Resolve the reader and capture its raised label under a shared lock on
-  // self's shard ONLY — the snapshot walk and the per-event Leq checks run
-  // lock-free afterwards (the registry's warm Leq path takes no shard
+  // Resolve the reader and capture its raised label under a shared table
+  // lock ONLY — the snapshot walk and the per-event Leq checks run
+  // lock-free afterwards (the registry's warm Leq path takes no table
   // lock), so a trace read never serializes against the syscall hot path
   // it is observing.
   LabelId reader_hi = kInvalidLabelId;
   {
-    TableLock lk(table_, TableLock::Mode::kShared, {self});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr) {
       out->status = Status::kNotFound;
@@ -509,12 +498,12 @@ void Kernel::WakeAllFutexes(const std::vector<ObjectId>& segs) {
 //
 // Syscall bodies below are the *Locked / Do* halves of the batched ABI
 // (kernel_batch.cc): *Locked bodies run under a TableLock the dispatcher
-// already holds over their BatchPlan footprint; Do* bodies take their own
-// locks exactly as the pre-batch syscalls did. The public sys_* wrappers
+// already holds; Do* bodies take their own lock exactly as the pre-batch
+// syscalls did. The public sys_* wrappers
 // (one-element batches) live in kernel_batch.cc.
 
 Result<ObjectId> Kernel::ContainerCreateLocked(ObjectId self, const CreateSpec& spec,
-                                               uint32_t avoid_types, ObjectId new_id) {
+                                               uint32_t avoid_types) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -527,7 +516,8 @@ Result<ObjectId> Kernel::ContainerCreateLocked(ObjectId self, const CreateSpec& 
   }
   // avoid_types restrictions are inherited by all descendants.
   uint32_t avoid = avoid_types | d.value()->avoid_types();
-  auto c = std::make_unique<Container>(new_id, lid, avoid, spec.container);
+  auto c = std::make_unique<Container>(AllocObjectIdLocked(), lid, avoid,
+                                       spec.container);
   c->set_quota_internal(spec.quota);
   c->set_descrip_internal(spec.descrip);
   Container* raw = c.get();
@@ -541,70 +531,42 @@ Result<ObjectId> Kernel::ContainerCreateLocked(ObjectId self, const CreateSpec& 
   return raw->id();
 }
 
-Status Kernel::UnrefOnce(ObjectId self, ContainerEntry ce, bool allow_destroy,
-                         bool* need_all, std::vector<ObjectId>* destroyed) {
-  *need_all = false;
-  Thread* t = GetThread(self);
-  if (t == nullptr || t->halted()) {
-    return Status::kHalted;
-  }
-  Container* d = GetContainer(ce.container);
-  if (d == nullptr) {
-    return Status::kNotFound;
-  }
-  // Unreferencing requires write access on D — and nothing about O. This
-  // is the §3.2 point: resource revocation is separate from access.
-  Status ms = CheckModify(*t, *d);
-  if (ms != Status::kOk) {
-    return ms;
-  }
-  if (ce.object == ce.container || ce.object == root_) {
-    return Status::kInvalidArg;  // the root (and self-entries) cannot be unlinked
-  }
-  if (!d->HasLink(ce.object)) {
-    return Status::kNotFound;
-  }
-  Object* o = Get(ce.object);
-  if (o != nullptr && o->link_count() == 1 && o->type() == ObjectType::kContainer &&
-      !allow_destroy) {
-    // Dropping a container's last link destroys its whole subtree, which
-    // can reach any shard; back out untouched and let the caller retake
-    // all shards. Non-containers destroy in place: their teardown touches
-    // only their own shard (held exclusive here) plus leaf maps.
-    *need_all = true;
-    return Status::kOk;
-  }
-  UnlinkFrom(d, ce.object);
-  if (o != nullptr && o->link_count() == 0) {
-    DestroyObject(ce.object, destroyed);
-  }
-  return Status::kOk;
-}
-
 Status Kernel::DoContainerUnref(ObjectId self, ContainerEntry ce) {
   std::vector<ObjectId> destroyed;
-  Status st;
-  bool need_all = false;
   {
-    // Fast path: the common non-destroying unlink (hard links remain)
-    // touches only D and O, so targeted exclusive locks suffice.
-    TableLock lk(table_, TableLock::Mode::kExclusive, {self, ce.container, ce.object});
-    st = UnrefOnce(self, ce, /*allow_destroy=*/false, &need_all, &destroyed);
+    // One exclusive lock covers the unlink and, if it drops O's last link,
+    // the recursive destroy of O's whole subtree.
+    TableLock lk(table_, TableLock::Mode::kExclusive);
+    Thread* t = GetThread(self);
+    if (t == nullptr || t->halted()) {
+      return Status::kHalted;
+    }
+    Container* d = GetContainer(ce.container);
+    if (d == nullptr) {
+      return Status::kNotFound;
+    }
+    // Unreferencing requires write access on D — and nothing about O. This
+    // is the §3.2 point: resource revocation is separate from access.
+    Status ms = CheckModify(*t, *d);
+    if (ms != Status::kOk) {
+      return ms;
+    }
+    if (ce.object == ce.container || ce.object == root_) {
+      return Status::kInvalidArg;  // the root (and self-entries) cannot be unlinked
+    }
+    if (!d->HasLink(ce.object)) {
+      return Status::kNotFound;
+    }
+    Object* o = Get(ce.object);
+    UnlinkFrom(d, ce.object);
+    if (o != nullptr && o->link_count() == 0) {
+      DestroyObject(ce.object, &destroyed);
+    }
   }
-  if (need_all) {
-    // Destroy path: recursive destruction can reach any shard — the
-    // canonical cross-shard operation, every shard exclusive (ascending
-    // order inside TableLock). All checks re-run under the new lock; the
-    // world may have changed in the gap (another unref may even have won
-    // the race, in which case this reports kNotFound, same as if it had
-    // run second under the old big lock).
-    TableLock lk(table_, TableLock::Mode::kExclusive, TableLock::AllShards{});
-    st = UnrefOnce(self, ce, /*allow_destroy=*/true, &need_all, &destroyed);
-  }
-  // Futex wakeups strictly after the shard locks drop (lock hierarchy:
-  // futex_mu_ is a leaf that never nests with shard locks).
+  // Futex wakeups strictly after the table lock drops (lock hierarchy:
+  // futex_mu_ is a leaf that never nests with the table lock).
   WakeAllFutexes(destroyed);
-  return st;
+  return Status::kOk;
 }
 
 Result<ObjectId> Kernel::ContainerGetParentLocked(ObjectId self, ObjectId container) {
@@ -829,8 +791,6 @@ Status Kernel::ObjSetImmutableLocked(ObjectId self, ContainerEntry ce) {
 }
 
 Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int64_t n) {
-  // D and O hash to independent shards; this is the cross-shard quota-move
-  // the lock hierarchy exists for (both shards exclusive, ascending order).
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -899,17 +859,17 @@ Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int6
 // ---- introspection ---------------------------------------------------------------
 
 bool Kernel::ObjectExists(ObjectId id) const {
-  TableLock lk(table_, TableLock::Mode::kShared, {id});
+  TableLock lk(table_, TableLock::Mode::kShared);
   return table_.ContainsLocked(id);
 }
 
 size_t Kernel::ObjectCount() const {
-  TableLock lk(table_, TableLock::Mode::kShared, TableLock::AllShards{});
+  TableLock lk(table_, TableLock::Mode::kShared);
   return table_.SizeLocked();
 }
 
 std::string Kernel::ConsoleContents(ObjectId dev) const {
-  TableLock lk(table_, TableLock::Mode::kShared, {dev});
+  TableLock lk(table_, TableLock::Mode::kShared);
   Object* o = Get(dev);
   if (o == nullptr || o->type() != ObjectType::kDevice) {
     return "";

@@ -1,15 +1,14 @@
 // The HiStar kernel simulator: object table, label enforcement, and the
 // complete system-call surface (paper §3).
 //
-// Concurrency model: kernel state is no longer guarded by one big lock. The
-// object table is sharded (src/kernel/object_table.h): each syscall computes
-// the set of objects it touches, locks the covering shards in ascending
-// index order — shared for read-only paths, exclusive for mutation — and
-// auxiliary state (futex queues, dirty set, per-thread counters, page-fault
-// handlers, gate entries) lives under its own leaf mutex. The full lock
-// hierarchy and per-helper requirements are documented in ARCHITECTURE.md
-// ("Concurrency model"); the per-syscall locking footprint is tabulated in
-// docs/syscalls.md.
+// Concurrency model: each syscall takes the object table's one lock
+// (src/kernel/object_table.h) once — shared for read-only paths, exclusive
+// for mutation — and auxiliary state (futex queues, dirty set, per-thread
+// counters, page-fault handlers, gate entries) lives under its own leaf
+// mutex. Warm side-effect-free reads take no lock at all (the epoch-
+// protected published index). The full lock hierarchy and per-helper
+// requirements are documented in ARCHITECTURE.md ("Concurrency model");
+// the per-syscall lock mode is tabulated in docs/syscalls.md.
 //
 // Host threads stand in for hardware threads; each host thread binds itself
 // to a kernel Thread object and passes that id as the first argument of
@@ -95,10 +94,7 @@ struct CheckpointBatch {
 
 class Kernel {
  public:
-  // `table_shards` sizes the object-table shard array (power of two; the
-  // ablation bench pits 1 — the old single-lock design — against the
-  // default under contended threads).
-  explicit Kernel(size_t table_shards = ObjectTable::kDefaultShardCount);
+  Kernel();
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -135,9 +131,8 @@ class Kernel {
   LabelRegistry& label_registry() { return registry_; }
   CategoryAllocator& category_allocator() { return cat_alloc_; }
 
-  // The sharded object table. Exposed (const) so tests and the ablation
-  // bench can compute shard placement; all access still goes through
-  // syscalls.
+  // The object table. Exposed (const) so tests can count its lock
+  // acquisitions; all access still goes through syscalls.
   const ObjectTable& object_table() const { return table_; }
 
   // Resolves an object's / thread's / gate's label handle to the canonical
@@ -161,18 +156,16 @@ class Kernel {
   //
   // Executes `reqs` strictly in submission order and fills `res[i]` with the
   // completion of `reqs[i]` (each carries its own Status; a failing entry
-  // does not stop later entries). Consecutive entries whose footprint is
-  // statically computable and whose execution never blocks or leaves the
-  // lock (see docs/syscalls.md "Batched submission") are grouped and run
-  // under ONE ascending-order TableLock covering the union of their shards —
-  // exclusive if any entry mutates — so a same-shard run of N entries pays
-  // one lock round-trip instead of N. Entries with data-dependent footprints
-  // or unlocked phases (futexes, gate invoke, net I/O, sync, unref,
-  // as_access, thread_alert) close the current group and execute exactly as
-  // their legacy syscall would. PR 6: consecutive entries whose bodies only
-  // touch atomic / snapshot object state (BatchPlan::lockfree) form their
-  // own groups and run with NO TableLock at all — an EpochGuard plus the
-  // published-index read mode replace the shared shard locks entirely.
+  // does not stop later entries). Consecutive entries whose execution never
+  // blocks or leaves the lock (see docs/syscalls.md "Batched submission")
+  // are grouped and run under ONE TableLock — exclusive if any entry
+  // mutates — so a run of N entries pays one lock round-trip instead of N.
+  // Entries with unlocked phases or user callbacks (futexes, gate invoke,
+  // net I/O, sync, unref, as_access) close the current group and execute
+  // exactly as their legacy syscall would. PR 6: consecutive entries whose
+  // bodies only touch atomic / snapshot object state (BatchPlan::lockfree)
+  // form their own groups and run with NO TableLock at all — an EpochGuard
+  // plus the published-index read mode replace the shared table lock.
   // Every legacy sys_* method below is a thin one-element-batch wrapper
   // over this entry point.
   //
@@ -299,8 +292,8 @@ class Kernel {
   // ---- Flight-recorder export (PR 10) ---------------------------------------
 
   // Flow-checked view of the kernel trace rings (docs/syscalls.md §
-  // sys_trace_read): resolves `self` under a shared lock on its shard
-  // only, then walks a lock-free snapshot applying the §3 observe rule
+  // sys_trace_read): resolves `self` under a shared table lock, then
+  // walks a lock-free snapshot applying the §3 observe rule
   // per event — an event is returned iff BOTH its recorded labels flow to
   // the reader's raised label; otherwise it only bumps `withheld`.
   TraceReadRes sys_trace_read(ObjectId self, uint32_t max_events = 0);
@@ -375,34 +368,28 @@ class Kernel {
   };
 
   // -- Helper lock requirements (ARCHITECTURE.md "Concurrency model" has the
-  //    full hierarchy; docs/syscalls.md the per-syscall footprint) --
+  //    full hierarchy; docs/syscalls.md the per-syscall lock mode) --
   //
-  //   Get / GetThread / GetContainer     shard of `id` held (any mode) — OR
-  //                                        an EpochGuard with
-  //                                        PublishedReadMode active, which
-  //                                        routes Get through the shard's
-  //                                        lock-free published index
-  //   CanObserve / CanModifyLabels /     shards keeping the operand objects
-  //     CheckModify                        alive held (any mode)
-  //   ResolveEntry                       shards of ce.container + ce.object
-  //   CheckCreate                        shard of `d` held (exclusive — the
-  //                                        create path ends in LinkInto)
-  //   LinkInto / UnlinkFrom              shards of both operands, exclusive
-  //   DestroyObject                      container: ALL shards exclusive
-  //                                        (recursive); other types: own
-  //                                        shard exclusive
-  //   InsertObject                       shard of obj->id(), exclusive
-  //   SerializeObjectLocked              shard of the object held (any mode)
-  //   LiveLocked                         ALL shards held (any mode)
-  //   MarkDirty / CountSyscalls          no shard requirement (leaf mutexes)
-  //   AllocObjectId / WakeAllFutexes     must be called with NO shard held
+  //   Get / GetThread / GetContainer     table lock held (any mode) — OR an
+  //                                        EpochGuard with PublishedReadMode
+  //                                        active, which routes Get through
+  //                                        the lock-free published index
+  //   CanObserve / CanModifyLabels /     table lock held (any mode)
+  //     CheckModify / ResolveEntry /
+  //     SerializeObjectLocked /
+  //     LiveLocked
+  //   CheckCreate / LinkInto /           table lock held exclusive
+  //     UnlinkFrom / DestroyObject /
+  //     InsertObject / AllocObjectIdLocked
+  //   MarkDirty / CountSyscalls          no table requirement (leaf mutexes)
+  //   WakeAllFutexes                     must be called with NO table lock
   //
   // These requirements are enforced at compile time (clang -Wthread-safety)
-  // through the table capability fiction: every TableLock — and the
+  // through the table capability: every TableLock — and the
   // PublishedReadTableCap epoch stand-in — acquires table_.cap(), and the
-  // helpers below carry REQUIRES / REQUIRES_SHARED on it. Which *shards*
-  // the caller's lock covers stays a runtime property (Covers()/TSan); the
-  // static layer proves no helper runs without some covering scope.
+  // helpers below carry REQUIRES / REQUIRES_SHARED on it. Shared versus
+  // exclusive stays a runtime property (TSan); the static layer proves no
+  // helper runs without a covering scope.
 
   Object* Get(ObjectId id) const REQUIRES_SHARED(table_.cap());
   Thread* GetThread(ObjectId id) const REQUIRES_SHARED(table_.cap());
@@ -438,17 +425,12 @@ class Kernel {
   void DestroyObject(ObjectId id, std::vector<ObjectId>* destroyed_segments)
       REQUIRES(table_.cap());
 
-  // Body of sys_container_unref. Requires the shards of {self, ce} held
-  // exclusive; if the unlink would drop O's last link, destruction needs
-  // ALL shards — with `allow_destroy` false the call then backs out without
-  // mutating and sets *need_all so the caller can retake the full lock.
-  Status UnrefOnce(ObjectId self, ContainerEntry ce, bool allow_destroy, bool* need_all,
-                   std::vector<ObjectId>* destroyed) REQUIRES(table_.cap());
-
   uint64_t ContainerFree(const Container& d) const;
   void MarkDirty(ObjectId id);
 
-  Result<ObjectId> AllocObjectId();
+  // A fresh object id, probed against the table for collisions with
+  // restored objects.
+  ObjectId AllocObjectIdLocked() REQUIRES(table_.cap());
 
   // Stamps the creation sequence number and inserts into the object table.
   void InsertObject(std::unique_ptr<Object> obj) REQUIRES(table_.cap());
@@ -460,27 +442,20 @@ class Kernel {
 
   // ---- Batched dispatch (kernel_batch.cc) ----------------------------------
   //
-  // Footprint plan of one request: the ids whose shards it touches, whether
-  // it mutates (exclusive mode), whether it can join a lock group at all,
-  // whether it consumes a preallocated object id, and whether its Locked
-  // body is safe on the lock-free published-read path (only atomic /
-  // snapshot object state, no payload bytes, no mutation).
+  // Lock plan of one request: whether it can join a lock group at all,
+  // whether it mutates (exclusive mode), and whether its Locked body is
+  // safe on the lock-free published-read path (only atomic / snapshot
+  // object state, no payload bytes, no mutation).
   struct BatchPlan {
-    std::array<ObjectId, 5> ids;
-    size_t nids = 0;
-    bool mutates = false;
     bool batchable = false;
-    bool needs_new_id = false;
+    bool mutates = false;
     bool lockfree = false;
   };
-  static BatchPlan PlanOf(ObjectId self, const SyscallReq& req);
+  static BatchPlan PlanOf(const SyscallReq& req);
 
-  // Executes one batchable request under the group TableLock (the caller
-  // holds every shard in the request's plan, exclusive if the group
-  // mutates). Create-type requests pop their preallocated id from `new_ids`
-  // via `next_new_id`.
-  void ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
-                  const std::vector<ObjectId>& new_ids, size_t* next_new_id)
+  // Executes one batchable request under the group TableLock (exclusive if
+  // the group mutates).
+  void ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out)
       REQUIRES(table_.cap());
   // Executes one non-batchable request with no lock held (the request's own
   // implementation takes whatever locks it needs, exactly as pre-batch).
@@ -488,12 +463,12 @@ class Kernel {
 
   // ---- Per-syscall bodies --------------------------------------------------
   //
-  // *Locked bodies assume the covering TableLock is already held (per
+  // *Locked bodies assume the group's TableLock is already held (per
   // BatchPlan); Do* bodies are the former sys_* implementations of the
   // non-batchable calls, minus entry bookkeeping (SubmitBatch counts).
   // Statically: mutating bodies carry REQUIRES(table_.cap()), read-only
   // bodies REQUIRES_SHARED — the shared set is exactly BatchPlan::lockfree
-  // plus the reads whose footprint is static but payload-touching.
+  // plus the payload-touching reads.
   Result<CategoryId> CatCreateLocked(ObjectId self) REQUIRES(table_.cap());
   Status SelfSetLabelLocked(ObjectId self, const Label& l) REQUIRES(table_.cap());
   Status SelfSetClearanceLocked(ObjectId self, const Label& c) REQUIRES(table_.cap());
@@ -503,16 +478,17 @@ class Kernel {
   Result<ContainerEntry> SelfGetAsLocked(ObjectId self) REQUIRES_SHARED(table_.cap());
   Status SelfHaltLocked(ObjectId self) REQUIRES(table_.cap());
   Result<ObjectId> ThreadCreateLocked(ObjectId self, const CreateSpec& spec,
-                                      const Label& new_label, const Label& new_clearance,
-                                      ObjectId new_id) REQUIRES(table_.cap());
+                                      const Label& new_label, const Label& new_clearance)
+      REQUIRES(table_.cap());
+  Status ThreadAlertLocked(ObjectId self, ContainerEntry thread, uint64_t code)
+      REQUIRES(table_.cap());
   Result<uint64_t> SelfNextAlertLocked(ObjectId self) REQUIRES(table_.cap());
   Status SelfLocalReadLocked(ObjectId self, void* buf, uint64_t off, uint64_t len)
       REQUIRES_SHARED(table_.cap());
   Status SelfLocalWriteLocked(ObjectId self, const void* buf, uint64_t off, uint64_t len)
       REQUIRES(table_.cap());
   Result<ObjectId> ContainerCreateLocked(ObjectId self, const CreateSpec& spec,
-                                         uint32_t avoid_types, ObjectId new_id)
-      REQUIRES(table_.cap());
+                                         uint32_t avoid_types) REQUIRES(table_.cap());
   Result<ObjectId> ContainerGetParentLocked(ObjectId self, ObjectId container)
       REQUIRES_SHARED(table_.cap());
   Result<std::vector<ObjectId>> ContainerListLocked(ObjectId self, ObjectId container)
@@ -537,10 +513,10 @@ class Kernel {
   Status ObjSetImmutableLocked(ObjectId self, ContainerEntry ce) REQUIRES(table_.cap());
   Status QuotaMoveLocked(ObjectId self, ObjectId d, ObjectId o, int64_t n)
       REQUIRES(table_.cap());
-  Result<ObjectId> SegmentCreateLocked(ObjectId self, const CreateSpec& spec, uint64_t len,
-                                       ObjectId new_id) REQUIRES(table_.cap());
-  Result<ObjectId> SegmentCopyLocked(ObjectId self, const CreateSpec& spec, ContainerEntry src,
-                                     ObjectId new_id) REQUIRES(table_.cap());
+  Result<ObjectId> SegmentCreateLocked(ObjectId self, const CreateSpec& spec, uint64_t len)
+      REQUIRES(table_.cap());
+  Result<ObjectId> SegmentCopyLocked(ObjectId self, const CreateSpec& spec, ContainerEntry src)
+      REQUIRES(table_.cap());
   Status SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t len)
       REQUIRES(table_.cap());
   Result<uint64_t> SegmentGetLenLocked(ObjectId self, ContainerEntry ce)
@@ -549,7 +525,7 @@ class Kernel {
                            uint64_t len) REQUIRES_SHARED(table_.cap());
   Status SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* buf, uint64_t off,
                             uint64_t len) REQUIRES(table_.cap());
-  Result<ObjectId> AsCreateLocked(ObjectId self, const CreateSpec& spec, ObjectId new_id)
+  Result<ObjectId> AsCreateLocked(ObjectId self, const CreateSpec& spec)
       REQUIRES(table_.cap());
   Status AsSetLocked(ObjectId self, ContainerEntry ce, const std::vector<Mapping>& mappings)
       REQUIRES(table_.cap());
@@ -558,14 +534,13 @@ class Kernel {
   Result<ObjectId> GateCreateLocked(ObjectId self, const CreateSpec& spec,
                                     const Label& gate_label, const Label& gate_clearance,
                                     const std::string& entry_name,
-                                    const std::vector<uint64_t>& closure, ObjectId new_id)
+                                    const std::vector<uint64_t>& closure)
       REQUIRES(table_.cap());
   Result<std::vector<uint64_t>> GateGetClosureLocked(ObjectId self, ContainerEntry ce)
       REQUIRES_SHARED(table_.cap());
   Status ConsoleWriteLocked(ObjectId self, ContainerEntry dev, const std::string& text)
       REQUIRES(table_.cap());
 
-  Status DoThreadAlert(ObjectId self, ContainerEntry thread, uint64_t code);
   Status DoContainerUnref(ObjectId self, ContainerEntry ce);
   Status DoAsAccess(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write);
   Status DoGateInvoke(ObjectId self, ContainerEntry gate, const Label& request_label,
@@ -584,15 +559,16 @@ class Kernel {
   Status DoSyncObject(ObjectId self, ContainerEntry ce);
   Status DoSyncPages(ObjectId self, ContainerEntry ce, uint64_t offset, uint64_t len);
 
-  // Flight-recorder export body (kernel.cc): shared lock on self's shard
-  // to capture the reader's raised label, then lock-free snapshot + per-
-  // event Leq checks (the registry's warm path).
+  // Flight-recorder export body (kernel.cc): shared table lock to capture
+  // the reader's raised label, then lock-free snapshot + per-event Leq
+  // checks (the registry's warm path).
   void DoTraceRead(ObjectId self, uint32_t max_events, TraceReadRes* out);
 
   // Wakes futex waiters on a destroyed segment so they fail promptly.
   void WakeAllFutexes(const std::vector<ObjectId>& segs);
 
-  // One resolve-check-copy pass of sys_as_access (the per-`attempt` body).
+  // One resolve-check-copy pass of sys_as_access under one TableLock (the
+  // per-`attempt` body; the page-fault handler runs between attempts).
   Status AsAccessOnce(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write);
 
   // Resolves `seg` for thread `self`, runs the §3.2 observe + range checks,
@@ -607,16 +583,16 @@ class Kernel {
   bool SerializeObjectLocked(const Object& o, std::vector<uint8_t>* out,
                              bool label_refs = false, uint64_t* meta_len = nullptr) const
       REQUIRES_SHARED(table_.cap());
-  // Live ids in creation order; requires all shards held.
+  // Live ids in creation order.
   std::vector<ObjectId> LiveLocked() const REQUIRES_SHARED(table_.cap());
-  // Dirty (id, mark-generation) pairs in creation order; requires all
-  // shards held (takes dirty_mu_ itself). The generation lets sys_sync
-  // retire exactly the marks it serialized and no newer ones.
+  // Dirty (id, mark-generation) pairs in creation order (takes dirty_mu_
+  // itself). The generation lets sys_sync retire exactly the marks it
+  // serialized and no newer ones.
   std::vector<std::pair<ObjectId, uint64_t>> DirtySnapshotLocked() const
       REQUIRES_SHARED(table_.cap());
 
-  // The sharded object table — PR 2 split the old single `mu_` into
-  // per-shard shared_mutexes; see ARCHITECTURE.md "Concurrency model".
+  // The object table and its one lock; see ARCHITECTURE.md "Concurrency
+  // model".
   ObjectTable table_;
   std::atomic<uint64_t> creation_counter_{0};
   // Boot-time only: set by the constructor / FinishRestore before any
@@ -626,11 +602,11 @@ class Kernel {
   CategoryAllocator cat_alloc_;
   CategoryAllocator objid_alloc_{0x4f424a4944ULL /* "OBJID" */};
   // Sharded and internally synchronized: label checks never serialize on
-  // any table shard lock.
+  // the table lock.
   mutable LabelRegistry registry_;
 
   // Leaf state, each under its own mutex (all ordered AFTER the table
-  // shards; futex_mu_ is never held together with any shard lock):
+  // lock; futex_mu_ is never held together with it):
   mutable Mutex gate_entries_mu_;
   std::unordered_map<std::string, GateEntryFn> gate_entries_ GUARDED_BY(gate_entries_mu_);
 
@@ -648,8 +624,8 @@ class Kernel {
   // and make them share a mutex). Slot ids are dense and reused on thread
   // exit, so below kCountSlots concurrently live threads every host
   // thread's entry bookkeeping lands on a private, uncontended mutex; a
-  // single counts mutex would put a kernel-wide lock round-trip back on
-  // every syscall the shard split parallelized. Each slot carries its
+  // single counts mutex would put a second kernel-wide lock round-trip on
+  // every syscall, even the lock-free reads. Each slot carries its
   // share of the kernel-wide total: `total` outlives thread destruction
   // (counts entries are erased with their thread), and the cold readers
   // (syscall_count, thread_syscall_count) sum over all slots, since one
@@ -666,36 +642,9 @@ class Kernel {
   }
   mutable std::array<CountSlot, kCountSlots> count_slots_;
 
-  // Last-fault footprint hints for sys_as_access (PR 3): a lock-free cache
-  // slot per registered host thread (PR 6 — same slot scheme as the
-  // syscall counters, replacing the old thread-id hash that let two
-  // threads evict each other's hints) holding the AS id and backing
-  // segment entry of that thread's most recent successful access. Purely a
-  // seed for the discovery loop's first lock set — every round re-derives
-  // and re-checks the real footprint under the lock, so a stale, torn, or
-  // reused-slot hint costs at most one widened retry and can never produce
-  // a wrong result. The `thread` field self-verifies the slot: a host
-  // thread acting as a different kernel thread (or a recycled slot id)
-  // mismatches and reads cold. All fields relaxed atomics: readers take no
-  // lock (that is the point — the hot hit path pays exactly ONE TableLock),
-  // writers may hold shared shard locks. Invalidated (cleared) by the
-  // caller-visible remap paths: sys_self_set_as, sys_as_set,
-  // sys_segment_resize. Not persisted; a restored kernel starts cold.
-  struct FaultHintSlot {
-    std::atomic<ObjectId> thread{kInvalidObject};
-    std::atomic<ObjectId> as{kInvalidObject};
-    std::atomic<ObjectId> seg_ct{kInvalidObject};
-    std::atomic<ObjectId> seg_obj{kInvalidObject};
-  };
-  static constexpr size_t kFaultHintSlots = 256;
-  FaultHintSlot& CurrentFaultHint() const {
-    return fault_hints_[EpochDomain::ThreadSlot() & (kFaultHintSlots - 1)];
-  }
-  mutable std::array<FaultHintSlot, kFaultHintSlots> fault_hints_;
-
   // id → generation of its latest MarkDirty. sys_sync retires an id only if
   // its generation still matches the snapshot it serialized, so a write
-  // landing while the store commits (no shard lock held) keeps its mark.
+  // landing while the store commits (no table lock held) keeps its mark.
   // This is also what makes incremental checkpoints sound: a mark that
   // survives the retire is re-serialized by the next increment.
   mutable Mutex dirty_mu_;
@@ -747,9 +696,9 @@ class PersistTarget {
 };
 
 // RAII marker: Kernel::Get on this host thread resolves through the object
-// table's lock-free published index instead of the locked shard map (PR 6).
+// table's lock-free published index instead of the locked map (PR 6).
 // The caller MUST hold an EpochGuard for the marker's whole lifetime and
-// MUST NOT hold (or take) any shard lock while it is active — the published
+// MUST NOT hold (or take) the table lock while it is active — the published
 // index is exactly the no-lock alternative, and the *Locked helper bodies
 // run unchanged on top of it for side-effect-free reads. SubmitBatch wraps
 // each lock-free read group in one of these.

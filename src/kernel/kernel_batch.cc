@@ -1,21 +1,16 @@
 // The batched syscall dispatcher (PR 3) and the legacy one-element wrappers.
 //
 // SubmitBatch is the single kernel entry point: it walks the request span in
-// submission order, unions the shard footprints of consecutive *batchable*
-// requests (those whose footprint is computable from the descriptor alone
-// and whose execution neither blocks nor leaves the lock), and executes each
-// such group under ONE ascending-order TableLock — the lock round-trip that
-// used to be paid per call is paid per group. Requests that cannot join a
-// group (data-dependent footprints, unlocked phases, sleeps: as_access,
-// thread_alert, container_unref, gate_invoke, futexes, net I/O, sync) close
-// the current group and run their pre-batch implementation unchanged, so
-// the lock hierarchy (ARCHITECTURE.md "Concurrency model") is untouched:
-// one TableLock at a time, futex_mu_ never nested, entry functions outside
+// submission order, groups consecutive *batchable* requests (those whose
+// execution neither blocks nor leaves the lock), and executes each such
+// group under ONE TableLock — the lock round-trip that used to be paid per
+// call is paid per group. Requests that cannot join a group (unlocked
+// phases, user callbacks, sleeps, post-unlock wakes: as_access,
+// container_unref, gate_invoke, futexes, net I/O, sync) close the current
+// group and run their pre-batch implementation unchanged, so the lock
+// hierarchy (ARCHITECTURE.md "Concurrency model") is untouched: one
+// TableLock at a time, futex_mu_ never nested, entry functions outside
 // every lock.
-//
-// Object ids for create-type requests are preallocated while NO lock is
-// held (AllocObjectId briefly probes the candidate's shard itself), then
-// folded into the group footprint — the same order the per-call path used.
 #include <type_traits>
 
 #include "src/core/trace.h"
@@ -55,105 +50,55 @@ inline void TraceOne(const SyscallReq& req, const SyscallRes& res, ObjectId self
 #endif
 }
 
-// Requests that consume a preallocated object id (create paths).
-template <typename T>
-inline constexpr bool kCreatesObject =
-    kIsAny<T, ThreadCreateReq, ContainerCreateReq, SegmentCreateReq, SegmentCopyReq,
-           AsCreateReq, GateCreateReq>;
-
 }  // namespace
 
-Kernel::BatchPlan Kernel::PlanOf(ObjectId self, const SyscallReq& req) {
+Kernel::BatchPlan Kernel::PlanOf(const SyscallReq& req) {
   BatchPlan plan;
-  auto ids = [&plan](std::initializer_list<ObjectId> list) {
-    for (ObjectId id : list) {
-      plan.ids[plan.nids++] = id;
-    }
-    plan.batchable = true;
-  };
   std::visit(
-      [&](const auto& r) {
+      [&plan](const auto& r) {
         using T = std::decay_t<decltype(r)>;
-        if constexpr (kIsAny<T, SelfGetLabelReq, SelfGetClearanceReq>) {
-          // Pure scalar self-reads: every field they touch is atomic or
-          // immutable, so they run lock-free over the published index.
-          ids({self});
+        if constexpr (kIsAny<T, SelfGetLabelReq, SelfGetClearanceReq, ObjGetTypeReq,
+                             ObjGetLabelReq, ObjGetDescripReq, ObjGetQuotaReq,
+                             SegmentGetLenReq, GateGetClosureReq, ContainerGetParentReq,
+                             ContainerListReq, ContainerHasReq>) {
+          // Reads of immutable or published-atomic state (labels, type,
+          // descrip, quota, published segment length, gate closure, parent,
+          // the published link snapshot): lock-free over the published
+          // index.
+          plan.batchable = true;
           plan.lockfree = true;
-        } else if constexpr (kIsAny<T, SelfGetAsReq, SelfLocalReadReq>) {
-          // Read non-atomic Thread state (AS entry, local bytes) — stay on
-          // the locked path.
-          ids({self});
+        } else if constexpr (kIsAny<T, SelfGetAsReq, SelfLocalReadReq, ObjGetMetadataReq,
+                                    SegmentReadReq, AsGetReq>) {
+          // Reads of mutable byte/vector state (AS entry, local bytes,
+          // metadata blob, segment bytes, mappings) — under the shared
+          // lock, since a concurrent writer may be resizing the container.
+          plan.batchable = true;
         } else if constexpr (kIsAny<T, CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq,
-                                    SelfHaltReq, SelfNextAlertReq, SelfLocalWriteReq>) {
-          ids({self});
-          plan.mutates = true;
-        } else if constexpr (kIsAny<T, ObjGetTypeReq, ObjGetLabelReq, ObjGetDescripReq,
-                                    ObjGetQuotaReq, SegmentGetLenReq, GateGetClosureReq>) {
-          // ⟨D,O⟩ reads over immutable or published-atomic state (type,
-          // label id, descrip, quota, published segment length, gate
-          // closure): lock-free over the published index.
-          ids({self, r.ce.container, r.ce.object});
-          plan.lockfree = true;
-        } else if constexpr (kIsAny<T, ObjGetMetadataReq, SegmentReadReq, AsGetReq>) {
-          // ⟨D,O⟩ reads of mutable byte/vector state (metadata blob,
-          // segment bytes, mappings) — locked, a concurrent writer may be
-          // resizing the container.
-          ids({self, r.ce.container, r.ce.object});
-        } else if constexpr (kIsAny<T, ObjSetMetadataReq, ObjSetFixedQuotaReq,
+                                    SelfHaltReq, SelfNextAlertReq, SelfLocalWriteReq,
+                                    ObjSetMetadataReq, ObjSetFixedQuotaReq,
                                     ObjSetImmutableReq, SegmentResizeReq, SegmentWriteReq,
-                                    AsSetReq>) {
-          ids({self, r.ce.container, r.ce.object});
+                                    AsSetReq, SelfSetAsReq, ConsoleWriteReq,
+                                    ContainerLinkReq, QuotaMoveReq, ThreadAlertReq,
+                                    ThreadCreateReq, ContainerCreateReq, SegmentCreateReq,
+                                    SegmentCopyReq, AsCreateReq, GateCreateReq>) {
+          plan.batchable = true;
           plan.mutates = true;
-        } else if constexpr (std::is_same_v<T, SelfSetAsReq>) {
-          ids({self, r.as.container, r.as.object});
-          plan.mutates = true;
-        } else if constexpr (std::is_same_v<T, ConsoleWriteReq>) {
-          ids({self, r.dev.container, r.dev.object});
-          plan.mutates = true;
-        } else if constexpr (kIsAny<T, ContainerGetParentReq, ContainerListReq,
-                                    ContainerHasReq>) {
-          // Container reads resolve links through the published snapshot
-          // (Container::HasLink / ContainerListLocked), so they are safe
-          // lock-free; parent is immutable after creation.
-          ids({self, r.container});
-          plan.lockfree = true;
-        } else if constexpr (std::is_same_v<T, ContainerLinkReq>) {
-          ids({self, r.container, r.src.container, r.src.object});
-          plan.mutates = true;
-        } else if constexpr (std::is_same_v<T, QuotaMoveReq>) {
-          ids({self, r.d, r.o});
-          plan.mutates = true;
-        } else if constexpr (kIsAny<T, ThreadCreateReq, ContainerCreateReq, SegmentCreateReq,
-                                    AsCreateReq, GateCreateReq>) {
-          ids({self, r.spec.container});
-          plan.mutates = true;
-          plan.needs_new_id = true;  // the preallocated id joins the footprint
-        } else if constexpr (std::is_same_v<T, SegmentCopyReq>) {
-          ids({self, r.src.container, r.src.object, r.spec.container});
-          plan.mutates = true;
-          plan.needs_new_id = true;
-        } else {
-          // Data-dependent footprint, unlocked phase, or sleep: runs alone
-          // through its pre-batch implementation (ExecUnbatched).
-          plan.batchable = false;
         }
+        // Anything else has an unlocked phase, a user callback, a sleep or
+        // a post-unlock wake: it runs alone through its pre-batch
+        // implementation (ExecUnbatched).
       },
       req);
   return plan;
 }
 
-void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
-                        const std::vector<ObjectId>& new_ids, size_t* next_new_id) {
+void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out) {
   // Converts the Locked body's Result<T>/Status into the matching completion
   // descriptor. Value fields stay default-initialized on failure.
   std::visit(
       [&](const auto& r) {
         table_.cap().AssertHeld();  // closures don't inherit the caller's lock set
         using T = std::decay_t<decltype(r)>;
-        [[maybe_unused]] ObjectId nid = kInvalidObject;
-        if constexpr (kCreatesObject<T>) {
-          nid = new_ids[(*next_new_id)++];
-        }
         if constexpr (std::is_same_v<T, CatCreateReq>) {
           Result<CategoryId> v = CatCreateLocked(self);
           *out = CatCreateRes{v.status(), v.ok() ? v.value() : kInvalidCategory};
@@ -175,8 +120,10 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
         } else if constexpr (std::is_same_v<T, SelfHaltReq>) {
           *out = SelfHaltRes{SelfHaltLocked(self)};
         } else if constexpr (std::is_same_v<T, ThreadCreateReq>) {
-          Result<ObjectId> v = ThreadCreateLocked(self, r.spec, r.label, r.clearance, nid);
+          Result<ObjectId> v = ThreadCreateLocked(self, r.spec, r.label, r.clearance);
           *out = ThreadCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
+        } else if constexpr (std::is_same_v<T, ThreadAlertReq>) {
+          *out = ThreadAlertRes{ThreadAlertLocked(self, r.thread, r.code)};
         } else if constexpr (std::is_same_v<T, SelfNextAlertReq>) {
           Result<uint64_t> v = SelfNextAlertLocked(self);
           *out = SelfNextAlertRes{v.status(), v.ok() ? v.value() : 0};
@@ -185,7 +132,7 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
         } else if constexpr (std::is_same_v<T, SelfLocalWriteReq>) {
           *out = SelfLocalWriteRes{SelfLocalWriteLocked(self, r.buf, r.off, r.len)};
         } else if constexpr (std::is_same_v<T, ContainerCreateReq>) {
-          Result<ObjectId> v = ContainerCreateLocked(self, r.spec, r.avoid_types, nid);
+          Result<ObjectId> v = ContainerCreateLocked(self, r.spec, r.avoid_types);
           *out = ContainerCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
         } else if constexpr (std::is_same_v<T, ContainerGetParentReq>) {
           Result<ObjectId> v = ContainerGetParentLocked(self, r.container);
@@ -225,10 +172,10 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
         } else if constexpr (std::is_same_v<T, QuotaMoveReq>) {
           *out = QuotaMoveRes{QuotaMoveLocked(self, r.d, r.o, r.n)};
         } else if constexpr (std::is_same_v<T, SegmentCreateReq>) {
-          Result<ObjectId> v = SegmentCreateLocked(self, r.spec, r.len, nid);
+          Result<ObjectId> v = SegmentCreateLocked(self, r.spec, r.len);
           *out = SegmentCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
         } else if constexpr (std::is_same_v<T, SegmentCopyReq>) {
-          Result<ObjectId> v = SegmentCopyLocked(self, r.spec, r.src, nid);
+          Result<ObjectId> v = SegmentCopyLocked(self, r.spec, r.src);
           *out = SegmentCopyRes{v.status(), v.ok() ? v.value() : kInvalidObject};
         } else if constexpr (std::is_same_v<T, SegmentResizeReq>) {
           *out = SegmentResizeRes{SegmentResizeLocked(self, r.ce, r.len)};
@@ -240,7 +187,7 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
         } else if constexpr (std::is_same_v<T, SegmentWriteReq>) {
           *out = SegmentWriteRes{SegmentWriteLocked(self, r.ce, r.buf, r.off, r.len)};
         } else if constexpr (std::is_same_v<T, AsCreateReq>) {
-          Result<ObjectId> v = AsCreateLocked(self, r.spec, nid);
+          Result<ObjectId> v = AsCreateLocked(self, r.spec);
           *out = AsCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
         } else if constexpr (std::is_same_v<T, AsSetReq>) {
           *out = AsSetRes{AsSetLocked(self, r.ce, r.mappings)};
@@ -249,7 +196,7 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out,
           *out = AsGetRes{v.status(), v.ok() ? v.take() : std::vector<Mapping>{}};
         } else if constexpr (std::is_same_v<T, GateCreateReq>) {
           Result<ObjectId> v = GateCreateLocked(self, r.spec, r.gate_label, r.gate_clearance,
-                                                r.entry_name, r.closure, nid);
+                                                r.entry_name, r.closure);
           *out = GateCreateRes{v.status(), v.ok() ? v.value() : kInvalidObject};
         } else if constexpr (std::is_same_v<T, GateGetClosureReq>) {
           Result<std::vector<uint64_t>> v = GateGetClosureLocked(self, r.ce);
@@ -271,9 +218,7 @@ void Kernel::ExecUnbatched(ObjectId self, const SyscallReq& req, SyscallRes* out
   std::visit(
       [&](const auto& r) {
         using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, ThreadAlertReq>) {
-          *out = ThreadAlertRes{DoThreadAlert(self, r.thread, r.code)};
-        } else if constexpr (std::is_same_v<T, ContainerUnrefReq>) {
+        if constexpr (std::is_same_v<T, ContainerUnrefReq>) {
           *out = ContainerUnrefRes{DoContainerUnref(self, r.ce)};
         } else if constexpr (std::is_same_v<T, AsAccessReq>) {
           *out = AsAccessRes{DoAsAccess(self, r.va, r.buf, r.len, r.write)};
@@ -326,7 +271,7 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
   CountSyscalls(self, reqs.size());
   size_t i = 0;
   while (i < reqs.size()) {
-    BatchPlan first = PlanOf(self, reqs[i]);
+    BatchPlan first = PlanOf(reqs[i]);
     if (!first.batchable) {
       uint64_t t0 = trace::RecordNowNs();
       uint64_t g0 = trace::BeginSyscallGroup();
@@ -338,26 +283,13 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
       continue;
     }
     // Grow the group over consecutive batchable requests of the same
-    // lock-freedom: union their shard masks, escalate to exclusive if any
-    // member mutates, and preallocate object ids for create entries NOW —
-    // AllocObjectId probes a shard itself and must run before the group
-    // lock (kernel.h helper contract).
-    uint64_t mask = 0;
+    // lock-freedom, escalating to exclusive if any member mutates.
     bool exclusive = false;
-    std::vector<ObjectId> new_ids;
     size_t j = i;
     while (j < reqs.size()) {
-      BatchPlan p = (j == i) ? first : PlanOf(self, reqs[j]);
+      BatchPlan p = (j == i) ? first : PlanOf(reqs[j]);
       if (!p.batchable || p.lockfree != first.lockfree) {
         break;
-      }
-      for (size_t k = 0; k < p.nids; ++k) {
-        mask |= table_.ShardMaskOf(p.ids[k]);
-      }
-      if (p.needs_new_id) {
-        Result<ObjectId> id = AllocObjectId();
-        new_ids.push_back(id.value());
-        mask |= table_.ShardMaskOf(id.value());
       }
       exclusive |= p.mutates;
       ++j;
@@ -369,9 +301,9 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
     uint64_t t0 = trace::RecordNowNs();
     uint64_t g0 = trace::BeginSyscallGroup();
     if (first.lockfree) {
-      // Lock-free read group (PR 6): ZERO shard locks. The epoch guard pins
+      // Lock-free read group (PR 6): ZERO table locks. The epoch guard pins
       // every published entry the group can reach; PublishedReadMode routes
-      // Kernel::Get through the shard's lock-free published index, and the
+      // Kernel::Get through the table's lock-free published index, and the
       // same *Locked bodies run unchanged on top of it (they are
       // side-effect-free for every lockfree-marked kind). The zero is the
       // acceptance property asserted by tests/kernel/batch_lock_test.cc.
@@ -381,30 +313,25 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
       // acquisition; the scoped stand-in discharges the bodies' static
       // table-capability requirement (see object_table.h).
       PublishedReadTableCap cap_scope(table_);
-      size_t next_new_id = 0;
       for (size_t k = i; k < j; ++k) {
         trace::ResetTaint();
-        ExecLocked(self, reqs[k], &res[k], new_ids, &next_new_id);
+        ExecLocked(self, reqs[k], &res[k]);
         TraceOne(reqs[k], res[k], self, t0);
       }
     } else {
-      // The group's single lock round-trip: every shard any member touches,
-      // ascending order, one acquisition (the acceptance property asserted
-      // by tests/kernel/batch_lock_test.cc).
-      TableLock lk(
-          table_,
-          exclusive ? TableLock::Mode::kExclusive : TableLock::Mode::kShared,
-          mask, TableLock::ByMask{});
-      size_t next_new_id = 0;
+      // The group's single lock round-trip (the acceptance property
+      // asserted by tests/kernel/batch_lock_test.cc).
+      TableLock lk(table_,
+                   exclusive ? TableLock::Mode::kExclusive : TableLock::Mode::kShared);
       for (size_t k = i; k < j; ++k) {
         trace::ResetTaint();
-        ExecLocked(self, reqs[k], &res[k], new_ids, &next_new_id);
+        ExecLocked(self, reqs[k], &res[k]);
         TraceOne(reqs[k], res[k], self, t0);
       }
       // Lock-free groups deliberately record NO kTableLock event — the
       // zero-lock property shows up in the trace as its absence.
-      trace::RecordEvent(trace::EventKind::kTableLock, mask,
-                         exclusive ? 1 : 0, j - i, 0, 0, 0, t0);
+      trace::RecordEvent(trace::EventKind::kTableLock, exclusive ? 1 : 0, j - i, 0, 0, 0,
+                         0, t0);
     }
     trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
     i = j;

@@ -14,10 +14,9 @@
 // resolves references through the remap; inline blobs re-intern as before.
 //
 // Snapshot locking: sys_sync builds its batch (live set + serialized dirty
-// objects) under ONE all-shards shared lock — the TableLock acquires the
-// shards in ascending index order — so the checkpoint image is a consistent
-// cut of the object graph even while reader syscalls proceed on other
-// threads. The registry cut for the label-table delta is taken after the
+// objects) under ONE shared table lock, so the checkpoint image is a
+// consistent cut of the object graph even while reader syscalls proceed on
+// other threads. The registry cut for the label-table delta is taken after the
 // blobs are serialized, so every id a blob references is covered. The store
 // commit itself runs with no kernel lock held, exactly like the old
 // single-mutex code.
@@ -221,7 +220,7 @@ bool Kernel::SerializeObjectLocked(const Object& o, std::vector<uint8_t>* out,
 
 bool Kernel::SerializeObject(ObjectId id, std::vector<uint8_t>* out, bool label_refs,
                              uint64_t* meta_len) const {
-  TableLock lk(table_, TableLock::Mode::kShared, {id});
+  TableLock lk(table_, TableLock::Mode::kShared);
   const Object* o = Get(id);
   if (o == nullptr) {
     return false;
@@ -420,13 +419,13 @@ Status Kernel::RestoreObject(const std::vector<uint8_t>& bytes) {
          !creation_counter_.compare_exchange_weak(prev, creation_seq,
                                                   std::memory_order_relaxed)) {
   }
-  TableLock lk(table_, TableLock::Mode::kExclusive, {id});
+  TableLock lk(table_, TableLock::Mode::kExclusive);
   table_.InsertLocked(std::move(obj));
   return Status::kOk;
 }
 
 void Kernel::FinishRestore(ObjectId root) {
-  TableLock lk(table_, TableLock::Mode::kExclusive, TableLock::AllShards{});
+  TableLock lk(table_, TableLock::Mode::kExclusive);
   root_ = root;
   // Rebuild link counts and container usages from the link graph. Labels
   // were re-interned once from the checkpoint's label table
@@ -492,12 +491,12 @@ std::vector<ObjectId> Kernel::LiveLocked() const {
 }
 
 std::vector<ObjectId> Kernel::LiveObjects() const {
-  TableLock lk(table_, TableLock::Mode::kShared, TableLock::AllShards{});
+  TableLock lk(table_, TableLock::Mode::kShared);
   return LiveLocked();
 }
 
 std::vector<std::pair<ObjectId, uint64_t>> Kernel::DirtySnapshotLocked() const {
-  // Shard locks before dirty_mu_ (lock hierarchy): the caller holds the
+  // Table lock before dirty_mu_ (lock hierarchy): the caller holds the
   // table, so the creation_seq reads below are stable.
   std::vector<std::pair<ObjectId, uint64_t>> marks;
   {
@@ -526,7 +525,7 @@ std::vector<std::pair<ObjectId, uint64_t>> Kernel::DirtySnapshotLocked() const {
 }
 
 std::vector<ObjectId> Kernel::DirtyObjects() const {
-  TableLock lk(table_, TableLock::Mode::kShared, TableLock::AllShards{});
+  TableLock lk(table_, TableLock::Mode::kShared);
   std::vector<ObjectId> out;
   for (const auto& [id, gen] : DirtySnapshotLocked()) {
     out.push_back(id);
@@ -540,26 +539,24 @@ void Kernel::ClearDirty() {
 }
 
 Status Kernel::DoSync(ObjectId self) {
+  // Group sync (§7.1): checkpoint the system state. Only objects mutated
+  // since the last sync are re-serialized — in label-ref format, so shared
+  // label bytes are never duplicated across blobs — and the live-id set
+  // lets the store drop deleted objects. The whole batch is built under the
+  // same shared table lock that checks the caller (a consistent cut); the
+  // store then commits atomically (superblock flip) with no kernel lock
+  // held.
+  std::vector<std::pair<ObjectId, uint64_t>> snapshot;
+  CheckpointBatch batch;
   {
-    TableLock lk(table_, TableLock::Mode::kShared, {self});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
     }
-  }
-  if (persist_ == nullptr) {
-    return Status::kOk;  // volatile configuration: sync is a no-op
-  }
-  // Group sync (§7.1): checkpoint the system state. Only objects mutated
-  // since the last sync are re-serialized — in label-ref format, so shared
-  // label bytes are never duplicated across blobs — and the live-id set
-  // lets the store drop deleted objects. The whole batch is built under one
-  // all-shards shared lock (a consistent cut); the store then commits
-  // atomically (superblock flip) with no kernel lock held.
-  std::vector<std::pair<ObjectId, uint64_t>> snapshot;
-  CheckpointBatch batch;
-  {
-    TableLock lk(table_, TableLock::Mode::kShared, TableLock::AllShards{});
+    if (persist_ == nullptr) {
+      return Status::kOk;  // volatile configuration: sync is a no-op
+    }
     batch.live = LiveLocked();
     batch.root = root_;
     snapshot = DirtySnapshotLocked();
@@ -598,7 +595,7 @@ Status Kernel::DoSync(ObjectId self) {
   }
   if (st == Status::kOk) {
     // Retire only marks whose generation still matches what was serialized:
-    // an object re-dirtied while the store was committing (no shard lock
+    // an object re-dirtied while the store was committing (no table lock
     // held) carries a newer generation and stays dirty for the next sync —
     // which, now that checkpoints are incremental, is what guarantees the
     // next increment re-serializes it. The label mark advances the same
@@ -619,7 +616,7 @@ Status Kernel::DoSyncPages(ObjectId self, ContainerEntry ce, uint64_t offset, ui
   ObjectId target;
   std::vector<uint8_t> pages;
   {
-    TableLock lk(table_, TableLock::Mode::kShared, {self, ce.container, ce.object});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
@@ -655,8 +652,10 @@ Status Kernel::DoSyncPages(ObjectId self, ContainerEntry ce, uint64_t offset, ui
 
 Status Kernel::DoSyncObject(ObjectId self, ContainerEntry ce) {
   ObjectId target;
+  std::vector<uint8_t> bytes;
+  uint64_t meta_len = 0;
   {
-    TableLock lk(table_, TableLock::Mode::kShared, {self, ce.container, ce.object});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
@@ -669,16 +668,14 @@ Status Kernel::DoSyncObject(ObjectId self, ContainerEntry ce) {
       return Status::kLabelCheckFailed;
     }
     target = o.value()->id();
-  }
-  if (persist_ == nullptr) {
-    return Status::kOk;
-  }
-  // WAL blobs stay self-contained (inline labels): a log record must be
-  // replayable on a disk whose label-table delta never made it out.
-  std::vector<uint8_t> bytes;
-  uint64_t meta_len = 0;
-  if (!SerializeObject(target, &bytes, /*label_refs=*/false, &meta_len)) {
-    return Status::kNotFound;
+    if (persist_ == nullptr) {
+      return Status::kOk;
+    }
+    // WAL blobs stay self-contained (inline labels): a log record must be
+    // replayable on a disk whose label-table delta never made it out.
+    if (!SerializeObjectLocked(*o.value(), &bytes, /*label_refs=*/false, &meta_len)) {
+      return Status::kNotFound;
+    }
   }
   return persist_->SyncOne(target, bytes, meta_len);
 }

@@ -1,19 +1,12 @@
 // Segment, address-space, futex and device syscalls (paper §3.4, §4.1, §5.7).
 //
-// Locking footprint per syscall is tabulated in docs/syscalls.md. Two paths
-// here deserve note (full discussion in ARCHITECTURE.md "Concurrency
-// model"):
-//   * sys_as_access cannot know its shard footprint up front (the backing
-//     segment comes out of the address space, which comes out of the
-//     thread), so it discovers it optimistically: lock the shards known so
-//     far, derive the next id, widen and retry if it escapes the locked
-//     set — typically two to three short targeted rounds (shared for
-//     reads, exclusive for writes), never an up-front all-shards lock.
-//   * Futexes live under their own futex_mu_, which is never held together
-//     with any shard lock. The lost-wakeup window this opens between "read
-//     the futex word" and "sleep" is closed by registering as a waiter
-//     first and re-reading the word afterwards; wakes that land in between
-//     are captured by the queue's wake_seq/wake_budget counters.
+// The lock mode per syscall is tabulated in docs/syscalls.md. Futexes
+// deserve note (full discussion in ARCHITECTURE.md "Concurrency model"):
+// they live under their own futex_mu_, which is never held together with
+// the table lock. The lost-wakeup window this opens between "read the
+// futex word" and "sleep" is closed by registering as a waiter first and
+// re-reading the word afterwards; wakes that land in between are captured
+// by the queue's wake_seq/wake_budget counters.
 #include <chrono>
 #include <cstring>
 
@@ -25,7 +18,7 @@ namespace histar {
 // ---- segments ----------------------------------------------------------------
 
 Result<ObjectId> Kernel::SegmentCreateLocked(ObjectId self, const CreateSpec& spec,
-                                             uint64_t len, ObjectId new_id) {
+                                             uint64_t len) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -39,7 +32,7 @@ Result<ObjectId> Kernel::SegmentCreateLocked(ObjectId self, const CreateSpec& sp
   if (!RangeOk(kObjectOverheadBytes, len, spec.quota)) {
     return Status::kQuotaExceeded;
   }
-  auto s = std::make_unique<Segment>(new_id, lid);
+  auto s = std::make_unique<Segment>(AllocObjectIdLocked(), lid);
   s->bytes().resize(len, 0);
   s->set_quota_internal(spec.quota);
   s->set_descrip_internal(spec.descrip);
@@ -55,7 +48,7 @@ Result<ObjectId> Kernel::SegmentCreateLocked(ObjectId self, const CreateSpec& sp
 }
 
 Result<ObjectId> Kernel::SegmentCopyLocked(ObjectId self, const CreateSpec& spec,
-                                           ContainerEntry src, ObjectId new_id) {
+                                           ContainerEntry src) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -83,7 +76,7 @@ Result<ObjectId> Kernel::SegmentCopyLocked(ObjectId self, const CreateSpec& spec
   if (!RangeOk(kObjectOverheadBytes, s->bytes().size(), spec.quota)) {
     return Status::kQuotaExceeded;
   }
-  auto ns = std::make_unique<Segment>(new_id, lid);
+  auto ns = std::make_unique<Segment>(AllocObjectIdLocked(), lid);
   ns->bytes() = s->bytes();
   ns->set_quota_internal(spec.quota);
   ns->set_descrip_internal(spec.descrip);
@@ -103,9 +96,6 @@ Status Kernel::SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t le
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  // A resize can move/shrink the bytes a cached fault translation points
-  // at; drop this host thread's hint (other slots' hints re-verify on use).
-  CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
   Result<Object*> o = ResolveEntry(*t, ce);
   if (!o.ok()) {
     return o.status();
@@ -153,11 +143,11 @@ Result<uint64_t> Kernel::SegmentGetLenLocked(ObjectId self, ContainerEntry ce) {
 
 Status Kernel::SegmentReadLocked(ObjectId self, ContainerEntry ce, void* buf, uint64_t off,
                                  uint64_t len) {
-  // The read-mostly hot path the shard split exists for: three ids, shared
-  // locks only — concurrent reads of different (or the same) segments never
-  // serialize on a kernel-wide lock (bench/ablation_objtable.cc measures
-  // exactly this path). Under the batch ABI, a run of reads additionally
-  // shares ONE lock acquisition (bench/fig12_ipc.cc measures that).
+  // The read-mostly hot path: a shared table lock, so concurrent reads of
+  // different (or the same) segments proceed together
+  // (bench/ablation_objtable.cc measures exactly this path). Under the
+  // batch ABI, a run of reads additionally shares ONE lock acquisition
+  // (bench/fig12_ipc.cc measures that).
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -210,8 +200,7 @@ Status Kernel::SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* 
 
 // ---- address spaces -------------------------------------------------------------
 
-Result<ObjectId> Kernel::AsCreateLocked(ObjectId self, const CreateSpec& spec,
-                                        ObjectId new_id) {
+Result<ObjectId> Kernel::AsCreateLocked(ObjectId self, const CreateSpec& spec) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -222,7 +211,7 @@ Result<ObjectId> Kernel::AsCreateLocked(ObjectId self, const CreateSpec& spec,
   if (!d.ok()) {
     return d.status();
   }
-  auto as = std::make_unique<AddressSpace>(new_id, lid);
+  auto as = std::make_unique<AddressSpace>(AllocObjectIdLocked(), lid);
   as->set_quota_internal(spec.quota);
   as->set_descrip_internal(spec.descrip);
   AddressSpace* raw = as.get();
@@ -242,10 +231,6 @@ Status Kernel::AsSetLocked(ObjectId self, ContainerEntry ce,
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  // Remapping changes what a fault at a cached VA resolves to; drop this
-  // host thread's last-fault hint (hints are self-verifying, so other
-  // slots' stale hints merely cost them one widened discovery round).
-  CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
   Result<Object*> o = ResolveEntry(*t, ce);
   if (!o.ok()) {
     return o.status();
@@ -293,121 +278,67 @@ void Kernel::SetPageFaultHandler(ObjectId thread,
 }
 
 Status Kernel::AsAccessOnce(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write) {
-  // The footprint (AS object, backing segment) is data-dependent: thread →
-  // address space → mapping → segment. Discover it optimistically: lock the
-  // shards known so far (round 0: just self), derive the next id, and if it
-  // escapes the locked set, loop with the grown footprint — shard coverage
-  // (TableLock::Covers), not id equality, is the safety criterion. A
-  // typical cold access pays two to three short targeted rounds (shared for
-  // reads, so concurrent readers stay fully parallel; exclusive for
-  // writes). The per-thread last-fault hint (kernel.h, FaultHintSlot)
-  // usually collapses the discovery to ONE round: round 0's lock set is
-  // seeded — with no lock held, the slot is relaxed atomics — with the AS
-  // and backing segment of this thread's previous successful access, which
-  // repeated faults through the same mapping (the common case) already
-  // cover. The hint is only a seed; every round re-derives the real
-  // footprint under the lock, so a stale hint costs one widened retry,
-  // never a wrong answer.
-  // Should the footprint keep shifting under us (pathological AS churn),
-  // the final round locks every shard, which covers any derivation — so
-  // the loop always terminates with a definitive status.
-  const TableLock::Mode mode =
-      write ? TableLock::Mode::kExclusive : TableLock::Mode::kShared;
-  ObjectId as_id = kInvalidObject;
-  ContainerEntry seg{};
-  FaultHintSlot& hint = CurrentFaultHint();
-  // The slot is the HOST thread's; the `thread == self` check self-verifies
-  // it against a host thread acting as another kernel thread, or reuse.
-  if (hint.thread.load(std::memory_order_relaxed) == self) {
-    as_id = hint.as.load(std::memory_order_relaxed);
-    seg.container = hint.seg_ct.load(std::memory_order_relaxed);
-    seg.object = hint.seg_obj.load(std::memory_order_relaxed);
+  // The objects reached are data-dependent (thread → address space →
+  // mapping → segment); the table lock covers whichever they turn out to
+  // be. Shared for reads, so concurrent readers stay parallel; exclusive
+  // for writes.
+  TableLock lk(table_, write ? TableLock::Mode::kExclusive : TableLock::Mode::kShared);
+  Thread* t = GetThread(self);
+  if (t == nullptr || t->halted()) {
+    return Status::kHalted;
   }
-  for (int round = 0;; ++round) {
-    const uint64_t lk_mask =
-        round >= kFootprintDiscoveryRounds
-            ? table_.AllShardsMask()
-            : table_.ShardMaskOf(self) | table_.ShardMaskOf(as_id) |
-                  table_.ShardMaskOf(seg.container) |
-                  table_.ShardMaskOf(seg.object);
-    TableLock lk(table_, mode, lk_mask, TableLock::ByMask{});
-    Thread* t = GetThread(self);
-    if (t == nullptr || t->halted()) {
-      return Status::kHalted;
-    }
-    if (!lk.Covers(t->address_space().object)) {
-      as_id = t->address_space().object;
-      continue;
-    }
-    AddressSpace* as = nullptr;
-    Object* aso = Get(t->address_space().object);
-    if (aso != nullptr && aso->type() == ObjectType::kAddressSpace) {
-      as = static_cast<AddressSpace*>(aso);
-    }
-    const Mapping* m = as != nullptr ? as->Lookup(va) : nullptr;
-    if (m == nullptr || !m->Covers(va + (len == 0 ? 0 : len - 1))) {
-      return Status::kNotFound;
-    }
-    if ((write && (m->flags & kMapWrite) == 0) || (!write && (m->flags & kMapRead) == 0)) {
-      return Status::kNoPerm;
-    }
-    if (m->segment.object == kLocalSegmentId) {
-      // Thread-local segments are always accessible by the current thread
-      // (self's shard is already in the lock set, exclusive when writing).
-      uint64_t off = va - m->va + m->start_page * kPageSize;
-      if (!RangeOk(off, len, t->local_segment().size())) {
-        return Status::kRange;
-      }
-      if (write) {
-        CopyBytes(t->local_segment().data() + off, buf, len);
-        MarkDirty(self);
-      } else {
-        CopyBytes(buf, t->local_segment().data() + off, len);
-      }
-      hint.as.store(t->address_space().object, std::memory_order_relaxed);
-      hint.seg_ct.store(kInvalidObject, std::memory_order_relaxed);
-      hint.seg_obj.store(kInvalidObject, std::memory_order_relaxed);
-      hint.thread.store(self, std::memory_order_relaxed);
-      return Status::kOk;
-    }
-    if (!lk.Covers(m->segment.container) || !lk.Covers(m->segment.object)) {
-      as_id = t->address_space().object;
-      seg = m->segment;
-      continue;
-    }
-    // Fault-time checks (§3.4): read D and O; for writes also L_T ⊑ L_O.
-    Result<Object*> o = ResolveEntry(*t, m->segment);
-    if (!o.ok()) {
-      return o.status();
-    }
-    if (o.value()->type() != ObjectType::kSegment) {
-      return Status::kWrongType;
-    }
-    Segment* s = static_cast<Segment*>(o.value());
-    if (!CanObserve(*t, *s)) {
-      return Status::kLabelCheckFailed;
-    }
-    if (write && (!registry_.Leq(t->label_id(), s->label_id()) || s->immutable())) {
-      return s->immutable() ? Status::kImmutable : Status::kLabelCheckFailed;
-    }
+  AddressSpace* as = nullptr;
+  Object* aso = Get(t->address_space().object);
+  if (aso != nullptr && aso->type() == ObjectType::kAddressSpace) {
+    as = static_cast<AddressSpace*>(aso);
+  }
+  const Mapping* m = as != nullptr ? as->Lookup(va) : nullptr;
+  if (m == nullptr || !m->Covers(va + (len == 0 ? 0 : len - 1))) {
+    return Status::kNotFound;
+  }
+  if ((write && (m->flags & kMapWrite) == 0) || (!write && (m->flags & kMapRead) == 0)) {
+    return Status::kNoPerm;
+  }
+  if (m->segment.object == kLocalSegmentId) {
+    // Thread-local segments are always accessible by the current thread.
     uint64_t off = va - m->va + m->start_page * kPageSize;
-    if (!RangeOk(off, len, s->bytes().size())) {
+    if (!RangeOk(off, len, t->local_segment().size())) {
       return Status::kRange;
     }
     if (write) {
-      CopyBytes(s->bytes().data() + off, buf, len);
-      MarkDirty(s->id());
+      CopyBytes(t->local_segment().data() + off, buf, len);
+      MarkDirty(self);
     } else {
-      CopyBytes(buf, s->bytes().data() + off, len);
+      CopyBytes(buf, t->local_segment().data() + off, len);
     }
-    // Remember the discovered footprint so the next fault through this
-    // mapping seeds a covering round 0 (one TableLock instead of two-three).
-    hint.as.store(t->address_space().object, std::memory_order_relaxed);
-    hint.seg_ct.store(m->segment.container, std::memory_order_relaxed);
-    hint.seg_obj.store(m->segment.object, std::memory_order_relaxed);
-    hint.thread.store(self, std::memory_order_relaxed);
     return Status::kOk;
   }
+  // Fault-time checks (§3.4): read D and O; for writes also L_T ⊑ L_O.
+  Result<Object*> o = ResolveEntry(*t, m->segment);
+  if (!o.ok()) {
+    return o.status();
+  }
+  if (o.value()->type() != ObjectType::kSegment) {
+    return Status::kWrongType;
+  }
+  Segment* s = static_cast<Segment*>(o.value());
+  if (!CanObserve(*t, *s)) {
+    return Status::kLabelCheckFailed;
+  }
+  if (write && (!registry_.Leq(t->label_id(), s->label_id()) || s->immutable())) {
+    return s->immutable() ? Status::kImmutable : Status::kLabelCheckFailed;
+  }
+  uint64_t off = va - m->va + m->start_page * kPageSize;
+  if (!RangeOk(off, len, s->bytes().size())) {
+    return Status::kRange;
+  }
+  if (write) {
+    CopyBytes(s->bytes().data() + off, buf, len);
+    MarkDirty(s->id());
+  } else {
+    CopyBytes(buf, s->bytes().data() + off, len);
+  }
+  return Status::kOk;
 }
 
 Status Kernel::DoAsAccess(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write) {
@@ -437,7 +368,7 @@ Status Kernel::DoAsAccess(ObjectId self, uint64_t va, void* buf, uint64_t len, b
 
 Status Kernel::ReadFutexWord(ObjectId self, ContainerEntry seg, uint64_t offset,
                              uint64_t* word, ObjectId* sid) {
-  TableLock lk(table_, TableLock::Mode::kShared, {self, seg.container, seg.object});
+  TableLock lk(table_, TableLock::Mode::kShared);
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -512,14 +443,14 @@ Status Kernel::DoFutexWait(ObjectId self, ContainerEntry seg, uint64_t offset,
   futex_mu_.Lock();
   for (;;) {
     // Re-check world state each wakeup: halted, alerted, consumed a wake
-    // token, or timed out. Thread state lives behind shard locks, and
-    // futex_mu_ never nests with those (lock hierarchy) — so drop the
+    // token, or timed out. Thread state lives behind the table lock, and
+    // futex_mu_ never nests with it (lock hierarchy) — so drop the
     // futex lock for the peek; wakes that land meanwhile persist in
     // wake_seq/wake_budget and are seen on reacquisition.
     futex_mu_.Unlock();
     Status ts = Status::kOk;
     {
-      TableLock lk(table_, TableLock::Mode::kShared, {self});
+      TableLock lk(table_, TableLock::Mode::kShared);
       Thread* t = GetThread(self);
       if (t == nullptr || t->halted()) {
         ts = Status::kHalted;
@@ -538,7 +469,7 @@ Status Kernel::DoFutexWait(ObjectId self, ContainerEntry seg, uint64_t offset,
       break;
     }
     // Wait in bounded slices rather than one full-deadline block: alerts,
-    // halts and thread destruction are only observable through the shard-
+    // halts and thread destruction are only observable through the table-
     // locked peek above (futex queues are keyed by segment, not by thread,
     // so thread-targeted events cannot notify this cv directly), and the
     // slice bound is what makes them interrupt a long timed wait promptly.
@@ -571,7 +502,7 @@ Result<uint32_t> Kernel::DoFutexWake(ObjectId self, ContainerEntry seg, uint64_t
                                      uint32_t max_count) {
   ObjectId sid = kInvalidObject;
   {
-    TableLock lk(table_, TableLock::Mode::kShared, {self, seg.container, seg.object});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
@@ -586,8 +517,8 @@ Result<uint32_t> Kernel::DoFutexWake(ObjectId self, ContainerEntry seg, uint64_t
     Segment* s = static_cast<Segment*>(o.value());
     // Waking waiters conveys information to them: require modify access, the
     // same as writing the futex word. (Label-only checks — no object state
-    // is mutated, so shared shard locks suffice; the queue mutation below
-    // happens under futex_mu_.)
+    // is mutated, so the shared table lock suffices; the queue mutation
+    // below happens under futex_mu_.)
     Status ms = CheckModify(*t, *s);
     if (ms != Status::kOk) {
       return ms;
@@ -611,7 +542,7 @@ Result<uint32_t> Kernel::DoFutexWake(ObjectId self, ContainerEntry seg, uint64_t
 // ---- devices -----------------------------------------------------------------------
 
 Result<std::array<uint8_t, 6>> Kernel::DoNetMacAddr(ObjectId self, ContainerEntry dev) {
-  TableLock lk(table_, TableLock::Mode::kShared, {self, dev.container, dev.object});
+  TableLock lk(table_, TableLock::Mode::kShared);
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -638,8 +569,7 @@ Status Kernel::DoNetTransmit(ObjectId self, ContainerEntry dev, ContainerEntry s
   NetPort* port = nullptr;
   std::vector<uint8_t> frame;
   {
-    TableLock lk(table_, TableLock::Mode::kShared,
-                 {self, dev.container, dev.object, seg.container, seg.object});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
@@ -659,7 +589,7 @@ Status Kernel::DoNetTransmit(ObjectId self, ContainerEntry dev, ContainerEntry s
     // means a thread tainted in any unowned category above the device's
     // level cannot transmit — this single check is what "tainted data cannot
     // leave the machine" reduces to. (Label checks only; the frame bytes go
-    // to the NIC ring, not into kernel objects, so shared locks suffice.)
+    // to the NIC ring, not into kernel objects, so a shared lock suffices.)
     Status ms = CheckModify(*t, *d);
     if (ms != Status::kOk) {
       return ms;
@@ -689,8 +619,7 @@ Result<uint64_t> Kernel::DoNetReceive(ObjectId self, ContainerEntry dev, Contain
                                       uint64_t off, uint64_t maxlen) {
   NetPort* port = nullptr;
   {
-    TableLock lk(table_, TableLock::Mode::kShared,
-                 {self, dev.container, dev.object, seg.container, seg.object});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
@@ -737,9 +666,9 @@ Result<uint64_t> Kernel::DoNetReceive(ObjectId self, ContainerEntry dev, Contain
   }
   uint64_t n = std::min<uint64_t>(frame.size(), maxlen);
   {
-    // Copy-in pass mutates the segment: exclusive locks, and re-resolve —
+    // Copy-in pass mutates the segment: exclusive lock, and re-resolve —
     // the world may have changed while we polled the NIC unlocked.
-    TableLock lk(table_, TableLock::Mode::kExclusive, {self, seg.container, seg.object});
+    TableLock lk(table_, TableLock::Mode::kExclusive);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;
@@ -770,7 +699,7 @@ Result<uint64_t> Kernel::DoNetReceive(ObjectId self, ContainerEntry dev, Contain
 Status Kernel::DoNetWait(ObjectId self, ContainerEntry dev, uint32_t timeout_ms) {
   NetPort* port = nullptr;
   {
-    TableLock lk(table_, TableLock::Mode::kShared, {self, dev.container, dev.object});
+    TableLock lk(table_, TableLock::Mode::kShared);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;

@@ -1,8 +1,8 @@
 // Thread and gate syscalls (paper §3.1, §3.5).
 //
-// Locking footprint per syscall is tabulated in docs/syscalls.md; the
-// general convention (one TableLock per syscall, shards in ascending order,
-// leaf mutexes nested under it) is described in kernel.cc / ARCHITECTURE.md.
+// The lock mode per syscall is tabulated in docs/syscalls.md; the general
+// convention (one TableLock per syscall, leaf mutexes nested under it) is
+// described in kernel.cc / ARCHITECTURE.md.
 #include <cstring>
 
 #include "src/kernel/kernel.h"
@@ -102,9 +102,6 @@ Status Kernel::SelfSetAsLocked(ObjectId self, ContainerEntry as) {
     return Status::kLabelCheckFailed;
   }
   t->set_address_space_internal(as);
-  // Switching address spaces invalidates the cached last-fault footprint
-  // (host-thread slot).
-  CurrentFaultHint().thread.store(kInvalidObject, std::memory_order_relaxed);
   MarkDirty(self);
   return Status::kOk;
 }
@@ -134,7 +131,7 @@ Status Kernel::SelfHaltLocked(ObjectId self) {
 
 Result<ObjectId> Kernel::ThreadCreateLocked(ObjectId self, const CreateSpec& spec,
                                             const Label& new_label,
-                                            const Label& new_clearance, ObjectId new_id) {
+                                            const Label& new_clearance) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -151,7 +148,8 @@ Result<ObjectId> Kernel::ThreadCreateLocked(ObjectId self, const CreateSpec& spe
   if (!d.ok()) {
     return d.status();
   }
-  auto nt = std::make_unique<Thread>(new_id, nl, registry_.Intern(new_clearance));
+  auto nt = std::make_unique<Thread>(AllocObjectIdLocked(), nl,
+                                     registry_.Intern(new_clearance));
   nt->set_quota_internal(spec.quota);
   nt->set_descrip_internal(spec.descrip);
   Thread* raw = nt.get();
@@ -165,54 +163,34 @@ Result<ObjectId> Kernel::ThreadCreateLocked(ObjectId self, const CreateSpec& spe
   return raw->id();
 }
 
-Status Kernel::DoThreadAlert(ObjectId self, ContainerEntry thread, uint64_t code) {
-  // The §3.4 check reaches through the target's *address space*, whose id
-  // is unknown until the target is read. Discover it optimistically, like
-  // sys_as_access: lock the shards known so far, widen if the derived AS
-  // escapes the set, and fall back to every shard only if the footprint
-  // keeps shifting (target retargeting its AS concurrently).
-  ObjectId as_id = kInvalidObject;
-  for (int round = 0;; ++round) {
-    const uint64_t lk_mask =
-        round >= kFootprintDiscoveryRounds
-            ? table_.AllShardsMask()
-            : table_.ShardMaskOf(self) | table_.ShardMaskOf(thread.container) |
-                  table_.ShardMaskOf(thread.object) | table_.ShardMaskOf(as_id);
-    TableLock lk(table_, TableLock::Mode::kExclusive, lk_mask,
-                 TableLock::ByMask{});
-    Thread* t = GetThread(self);
-    if (t == nullptr || t->halted()) {
-      return Status::kHalted;
-    }
-    Result<Object*> o = ResolveEntry(*t, thread);
-    if (!o.ok()) {
-      return o.status();
-    }
-    if (o.value()->type() != ObjectType::kThread) {
-      return Status::kWrongType;
-    }
-    Thread* target = static_cast<Thread*>(o.value());
-    if (!lk.Covers(target->address_space().object)) {
-      as_id = target->address_space().object;
-      continue;
-    }
-    // §3.4: the sender must be able to write the target's address space — the
-    // alert vector lives there and this also implies the sender could have
-    // taken the target over entirely — and observe the target.
-    Object* as = Get(target->address_space().object);
-    if (as == nullptr) {
-      return Status::kNotFound;
-    }
-    Status ms = CheckModify(*t, *as);
-    if (ms != Status::kOk) {
-      return ms;
-    }
-    if (!CanObserve(*t, *target)) {
-      return Status::kLabelCheckFailed;
-    }
-    target->alerts().push_back(code);
-    break;
+Status Kernel::ThreadAlertLocked(ObjectId self, ContainerEntry thread, uint64_t code) {
+  Thread* t = GetThread(self);
+  if (t == nullptr || t->halted()) {
+    return Status::kHalted;
   }
+  Result<Object*> o = ResolveEntry(*t, thread);
+  if (!o.ok()) {
+    return o.status();
+  }
+  if (o.value()->type() != ObjectType::kThread) {
+    return Status::kWrongType;
+  }
+  Thread* target = static_cast<Thread*>(o.value());
+  // §3.4: the sender must be able to write the target's address space — the
+  // alert vector lives there and this also implies the sender could have
+  // taken the target over entirely — and observe the target.
+  Object* as = Get(target->address_space().object);
+  if (as == nullptr) {
+    return Status::kNotFound;
+  }
+  Status ms = CheckModify(*t, *as);
+  if (ms != Status::kOk) {
+    return ms;
+  }
+  if (!CanObserve(*t, *target)) {
+    return Status::kLabelCheckFailed;
+  }
+  target->alerts().push_back(code);
   // No futex notify: segment-keyed queues cannot address a thread. The
   // target's wait loop sees the pending alert at its next bounded-slice
   // state peek (≤50 ms) and returns kAgain, the EINTR analogue.
@@ -249,7 +227,8 @@ Status Kernel::SelfLocalWriteLocked(ObjectId self, const void* buf, uint64_t off
                                     uint64_t len) {
   // Locked exclusive (see PlanOf) even though only `self` ever writes its
   // local segment: the checkpoint path serializes thread-local pages under
-  // shared all-locks, and shared/shared with a concurrent writer would race.
+  // the shared table lock, and shared/shared with a concurrent writer
+  // would race.
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -267,8 +246,7 @@ Status Kernel::SelfLocalWriteLocked(ObjectId self, const void* buf, uint64_t off
 Result<ObjectId> Kernel::GateCreateLocked(ObjectId self, const CreateSpec& spec,
                                           const Label& gate_label, const Label& gate_clearance,
                                           const std::string& entry_name,
-                                          const std::vector<uint64_t>& closure,
-                                          ObjectId new_id) {
+                                          const std::vector<uint64_t>& closure) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -289,14 +267,14 @@ Result<ObjectId> Kernel::GateCreateLocked(ObjectId self, const CreateSpec& spec,
     return d.status();
   }
   {
-    // gate_entries_mu_ nests under the shard locks (lock hierarchy).
+    // gate_entries_mu_ nests under the table lock (lock hierarchy).
     MutexLock glock(&gate_entries_mu_);
     if (gate_entries_.find(entry_name) == gate_entries_.end()) {
       return Status::kNotFound;  // entry code segment missing
     }
   }
-  auto g = std::make_unique<Gate>(new_id, gl, registry_.Intern(gate_clearance),
-                                  entry_name, closure);
+  auto g = std::make_unique<Gate>(AllocObjectIdLocked(), gl,
+                                  registry_.Intern(gate_clearance), entry_name, closure);
   g->set_quota_internal(spec.quota);
   g->set_descrip_internal(spec.descrip);
   Gate* raw = g.get();
@@ -315,7 +293,7 @@ Status Kernel::DoGateInvoke(ObjectId self, ContainerEntry gate, const Label& req
   GateEntryFn entry;
   GateCall call;
   {
-    TableLock lk(table_, TableLock::Mode::kExclusive, {self, gate.container, gate.object});
+    TableLock lk(table_, TableLock::Mode::kExclusive);
     Thread* t = GetThread(self);
     if (t == nullptr || t->halted()) {
       return Status::kHalted;

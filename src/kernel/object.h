@@ -12,17 +12,16 @@
 // shifted variants live. Resolving an id back to a Label goes through
 // Kernel::LabelOf / the registry.
 //
-// Objects carry no locks of their own. The object table is sharded
-// (src/kernel/object_table.h); every accessor here — including the
-// `*_internal` mutators — assumes the caller holds the table lock of the
-// shard covering this object's id: shared mode for the const readers,
+// Objects carry no locks of their own. Every accessor here — including the
+// `*_internal` mutators — assumes the caller holds the object table's lock
+// (src/kernel/object_table.h): shared mode for the const readers,
 // exclusive for anything that mutates (see ARCHITECTURE.md "Concurrency
 // model" and the helper contracts in kernel.h).
 //
 // PR 6 exception: the fields the lock-free read path may touch are
 // atomics (label id, quota, thread halted/clearance) or published
 // snapshots (container link list, segment length), so epoch-protected
-// readers holding NO shard lock see them torn-free. Everything else —
+// readers holding NO table lock see them torn-free. Everything else —
 // segment payload bytes, AS mappings, metadata, alerts — is still
 // lock-disciplined plain data, and the syscalls that read it stay on the
 // locked path (see kernel.h's batch-plan table).

@@ -1,48 +1,40 @@
-// The sharded kernel object table (the PR-2 split of the old Kernel::mu_).
+// The kernel object table: one reader/writer lock in front of one object map.
 //
-// The table is divided into a power-of-two number of shards keyed by a mixed
-// hash of the ObjectId. Each shard pairs a reader/writer mutex with the
-// unordered_map holding that shard's objects, so read-mostly syscalls
-// (segment reads, container lookups, label fetches) take shard-local shared
-// locks and scale across cores, while mutating syscalls take only their
-// shards' exclusive locks. The full locking discipline — which syscalls lock
-// which shards, in which mode, and how the leaf mutexes nest — is documented
-// in ARCHITECTURE.md ("Concurrency model").
+// Every syscall's checks and its state change must be atomic against other
+// syscalls (§3). A syscall gets that by taking ONE TableLock over the whole
+// table — shared for read-only paths, exclusive for any mutation — and
+// holding it for the checks and the change. Because the lock covers every
+// object, no caller has to know its object footprint in advance. Auxiliary
+// state (futex queues, dirty set, per-thread counters, page-fault handlers,
+// gate entries) lives under leaf mutexes ordered after the table lock; the
+// full hierarchy is in ARCHITECTURE.md ("Concurrency model").
 //
 // Locking rules enforced here:
-//   * TableLock is the only way shard mutexes are acquired. It locks the
-//     shards covering a given id set in ascending shard-index order, all in
-//     one mode, and a syscall acquires exactly one TableLock — never a
-//     second one while the first is held. Ascending order + single
-//     acquisition is what makes cross-shard operations (container unref,
-//     checkpoint snapshot, quota moves) deadlock-free by construction.
+//   * TableLock is the only way the table mutex is acquired, and a syscall
+//     never constructs a second one while the first is live.
 //   * The *Locked accessors perform no synchronization themselves; the
-//     caller must hold the covering shard lock (shared for reads, exclusive
-//     for any mutation, including insert/erase).
+//     caller must hold the table lock (shared for reads, exclusive for any
+//     mutation, including insert/erase).
 //
 // Static enforcement (see ARCHITECTURE.md "Statically enforced invariants"):
-// the set of shards a TableLock holds is data-dependent, which Clang's
-// thread-safety analysis cannot model directly. The table therefore carries
-// a fictional whole-table capability, `cap()`: TableLock is a
+// the table carries a whole-table capability, `cap()`: TableLock is a
 // SCOPED_CAPABILITY acquiring it, every *Locked accessor REQUIRES it, and
-// the per-shard maps are GUARDED_BY their real shard mutex with the
-// accessors asserting the shard lock they were promised. The fiction
-// deliberately overclaims in one direction — a shared-mode TableLock
-// acquires the fictional capability exclusively, because the analysis
-// cannot express a runtime-chosen mode — so shared-vs-exclusive discipline
-// remains the province of TSan and the runtime; what the analysis proves is
-// that no *Locked body is reachable without a live TableLock, and that no
-// code path touches a shard map around the TableLock protocol.
+// the map is GUARDED_BY the real mutex with the accessors asserting it. The
+// capability is separate from the mutex for two reasons. A shared-mode
+// TableLock acquires it exclusively, because the analysis cannot express a
+// runtime-chosen mode, so shared-vs-exclusive discipline is left to TSan
+// and the runtime. And PublishedReadTableCap (below) satisfies it with no
+// mutex at all. What the analysis proves is that no *Locked body is
+// reachable without a live TableLock or PublishedReadTableCap, and that no
+// code path touches the map around the TableLock protocol.
 //
-// PR 6 adds a lock-free read path beside the locked one: each shard also
-// carries a published index — an open-addressing array of
-// {atomic id, atomic Object*} slots. Insert/erase (always under the
-// exclusive shard lock) publish/tombstone entries with release stores and
-// retire replaced objects and outgrown index arrays through the
-// EpochDomain; GetPublished probes the index with acquire loads and NO
-// shard mutex. Callers of GetPublished must hold an EpochGuard, which is
+// Beside the locked path sits a lock-free read path: a published index, an
+// open-addressing array of {atomic id, atomic Object*} slots. Insert/erase
+// (always under the exclusive table lock) publish/tombstone entries with
+// release stores and retire replaced objects and outgrown index arrays
+// through the EpochDomain; GetPublished probes the index with acquire loads
+// and NO mutex. Callers of GetPublished must hold an EpochGuard, which is
 // what keeps a just-erased object alive until the probe's pointer dies.
-// TableLock semantics for mutation, destroy, and checkpoint are unchanged.
 #ifndef SRC_KERNEL_OBJECT_TABLE_H_
 #define SRC_KERNEL_OBJECT_TABLE_H_
 
@@ -50,7 +42,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "src/core/epoch.h"
 #include "src/core/sync.h"
@@ -60,11 +51,11 @@
 
 namespace histar {
 
-// Fictional capability standing for "the covering TableLock shard set".
-// Acquire/Release are no-ops: the real mutexes are the per-shard
-// SharedMutexes, taken by TableLock in ascending order. This object exists
-// so the static analysis has a single capability to thread through
-// TableLock scopes and *Locked REQUIRES clauses.
+// The capability standing for "the table lock is held". Acquire/Release are
+// no-ops: the real mutex is ObjectTable's table_mu_, taken by TableLock.
+// This object exists so the static analysis has one capability to thread
+// through TableLock scopes, PublishedReadTableCap scopes and *Locked
+// REQUIRES clauses.
 class CAPABILITY("table_lock") TableCap {
  public:
   void Acquire() const ACQUIRE() {}
@@ -77,44 +68,22 @@ class CAPABILITY("table_lock") TableCap {
 
 class ObjectTable {
  public:
-  // Power of two. 16 shards keeps per-shard contention negligible at the
-  // thread counts the simulator runs (same sizing argument as the
-  // LabelRegistry's intern shards) while costing ~nothing single-threaded.
-  static constexpr size_t kDefaultShardCount = 16;
-  static constexpr size_t kMaxShardCount = 64;
-
-  explicit ObjectTable(size_t shard_count = kDefaultShardCount)
-      : shard_count_(NormalizeShardCount(shard_count)) {
-    shards_.reserve(shard_count_);
-    for (size_t i = 0; i < shard_count_; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-  }
+  ObjectTable() = default;
+  ~ObjectTable() { delete pub_.load(std::memory_order_relaxed); }
 
   ObjectTable(const ObjectTable&) = delete;
   ObjectTable& operator=(const ObjectTable&) = delete;
 
-  size_t shard_count() const { return shard_count_; }
-
-  // The fictional whole-table capability TableLock acquires; *Locked
-  // accessors and kernel helpers name it in REQUIRES clauses.
+  // The whole-table capability TableLock acquires; *Locked accessors and
+  // kernel helpers name it in REQUIRES clauses.
   const TableCap& cap() const RETURN_CAPABILITY(cap_) { return cap_; }
-
-  // Bit mask with the shard covering `id` set (for batch footprint unions).
-  uint64_t ShardMaskOf(ObjectId id) const { return uint64_t{1} << ShardOf(id); }
-
-  // Bit mask covering every shard (the TableLock all-shards footprint).
-  uint64_t AllShardsMask() const {
-    return shard_count_ >= 64 ? ~uint64_t{0}
-                              : (uint64_t{1} << shard_count_) - 1;
-  }
 
   // ---- lock accounting (tests / bench only) --------------------------------
   //
-  // When enabled, every TableLock acquisition (any mode, any shard set)
-  // bumps a counter — the instrument behind the "one lock round-trip per
-  // batch" acceptance test. Off by default so the syscall fast path touches
-  // no shared atomic; the flag itself is read relaxed.
+  // When enabled, every TableLock acquisition (any mode) bumps a counter —
+  // the instrument behind the "one lock acquisition per syscall / per
+  // batch group" tests. Off by default so the syscall fast path touches no
+  // shared atomic; the flag itself is read relaxed.
   void set_lock_accounting(bool on) const {
     lock_accounting_.store(on, std::memory_order_relaxed);
   }
@@ -122,76 +91,60 @@ class ObjectTable {
     return lock_acquisitions_.load(std::memory_order_relaxed);
   }
 
-  // Shard placement is a pure function of (id, shard_count) so tests can
-  // construct ids that deliberately land in different shards.
-  static size_t ShardIndexFor(ObjectId id, size_t shard_count) {
-    // Splittable 64-bit mix: sequentially allocated ids spread evenly.
-    uint64_t h = id * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 32;
-    return static_cast<size_t>(h & (shard_count - 1));
-  }
-  size_t ShardOf(ObjectId id) const { return ShardIndexFor(id, shard_count_); }
-
-  // ---- unsynchronized accessors (caller holds the covering shard lock) ----
+  // ---- unsynchronized accessors (caller holds the table lock) --------------
 
   Object* GetLocked(ObjectId id) const REQUIRES_SHARED(cap_) {
-    const Shard& sh = *shards_[ShardOf(id)];
-    sh.mu.AssertReaderHeld();  // covered by the caller's TableLock
-    auto it = sh.objects.find(id);
-    return it == sh.objects.end() ? nullptr : it->second.get();
+    table_mu_.AssertReaderHeld();  // covered by the caller's TableLock
+    auto it = objects_.find(id);
+    return it == objects_.end() ? nullptr : it->second.get();
   }
 
   bool ContainsLocked(ObjectId id) const REQUIRES_SHARED(cap_) {
-    const Shard& sh = *shards_[ShardOf(id)];
-    sh.mu.AssertReaderHeld();  // covered by the caller's TableLock
-    return sh.objects.count(id) > 0;
+    table_mu_.AssertReaderHeld();  // covered by the caller's TableLock
+    return objects_.count(id) > 0;
   }
 
   // Inserts (or, on the restore path, replaces) the object under its id,
-  // and publishes it into the shard's lock-free index. A replaced object
-  // is retired through the epoch layer, never destroyed in place — a
-  // lock-free reader may still hold it. Requires the covering shard
-  // locked exclusive.
+  // and publishes it into the lock-free index. A replaced object is retired
+  // through the epoch layer, never destroyed in place — a lock-free reader
+  // may still hold it. Requires the table locked exclusive.
   void InsertLocked(std::unique_ptr<Object> obj) REQUIRES(cap_) {
+    table_mu_.AssertHeld();  // covered by the caller's exclusive TableLock
     ObjectId id = obj->id();
-    Shard& sh = *shards_[ShardOf(id)];
-    sh.mu.AssertHeld();  // covered by the caller's exclusive TableLock
     Object* raw = obj.get();
-    std::unique_ptr<Object>& cell = sh.objects[id];
+    std::unique_ptr<Object>& cell = objects_[id];
     Object* displaced = cell.release();
     cell = std::move(obj);
     // Derived published state (segment length, container link snapshot)
     // must be coherent before the pointer becomes reachable.
     raw->OnPublish();
-    PublishLocked(sh, id, raw);
+    PublishLocked(id, raw);
     if (displaced != nullptr) {
       EpochDomain::Global().Retire(displaced);
     }
   }
 
   // Tombstones the published entry and retires the object through the
-  // epoch layer. Requires the covering shard locked exclusive.
+  // epoch layer. Requires the table locked exclusive.
   void EraseLocked(ObjectId id) REQUIRES(cap_) {
-    Shard& sh = *shards_[ShardOf(id)];
-    sh.mu.AssertHeld();  // covered by the caller's exclusive TableLock
-    auto it = sh.objects.find(id);
-    if (it == sh.objects.end()) {
+    table_mu_.AssertHeld();  // covered by the caller's exclusive TableLock
+    auto it = objects_.find(id);
+    if (it == objects_.end()) {
       return;
     }
     Object* raw = it->second.release();
-    sh.objects.erase(it);
-    UnpublishLocked(sh, id);
+    objects_.erase(it);
+    UnpublishLocked(id);
     EpochDomain::Global().Retire(raw);
   }
 
-  // ---- lock-free read path (caller holds an EpochGuard, NO shard lock) ----
+  // ---- lock-free read path (caller holds an EpochGuard, NO table lock) ----
 
-  // Probes the shard's published index. Returns nullptr for absent or
-  // tombstoned (concurrently erased) ids. The pointer stays valid for the
-  // duration of the caller's epoch guard — erase retires, never deletes.
+  // Probes the published index. Returns nullptr for absent or tombstoned
+  // (concurrently erased) ids. The pointer stays valid for the duration of
+  // the caller's epoch guard — erase retires, never deletes.
   Object* GetPublished(ObjectId id) const {
-    const Shard& sh = *shards_[ShardOf(id)];
-    const PubIndex* idx = sh.pub.load(std::memory_order_acquire);
+    const PubIndex* idx = pub_.load(std::memory_order_acquire);
     if (idx == nullptr) {
       return nullptr;
     }
@@ -207,26 +160,19 @@ class ObjectTable {
     }
   }
 
-  // Visits every live object. Requires ALL shards locked (an all-shards
-  // TableLock); exclusive if `fn` mutates objects, shared otherwise.
+  // Visits every live object. Exclusive if `fn` mutates objects, shared
+  // otherwise.
   template <typename Fn>
   void ForEachLocked(Fn&& fn) const REQUIRES_SHARED(cap_) {
-    for (const auto& sh : shards_) {
-      sh->mu.AssertReaderHeld();  // all-shards TableLock covers every shard
-      for (const auto& [id, obj] : sh->objects) {
-        fn(id, obj.get());
-      }
+    table_mu_.AssertReaderHeld();  // covered by the caller's TableLock
+    for (const auto& [id, obj] : objects_) {
+      fn(id, obj.get());
     }
   }
 
-  // Requires ALL shards locked (any mode).
   size_t SizeLocked() const REQUIRES_SHARED(cap_) {
-    size_t n = 0;
-    for (const auto& sh : shards_) {
-      sh->mu.AssertReaderHeld();  // all-shards TableLock covers every shard
-      n += sh->objects.size();
-    }
-    return n;
+    table_mu_.AssertReaderHeld();  // covered by the caller's TableLock
+    return objects_.size();
   }
 
  private:
@@ -250,36 +196,26 @@ class ObjectTable {
 
   static constexpr size_t kMinPubCapacity = 64;
 
-  struct Shard {
-    mutable SharedMutex mu;
-    std::unordered_map<ObjectId, std::unique_ptr<Object>> objects
-        GUARDED_BY(mu);
-    // Lock-free published index over `objects`. Written only under the
-    // exclusive shard lock; read via acquire loads with no lock at all.
-    std::atomic<PubIndex*> pub{nullptr};
-    ~Shard() { delete pub.load(std::memory_order_relaxed); }
-  };
-
-  // Distinct mix from ShardIndexFor: ids within one shard share that
-  // hash's low bits, so reusing it here would stride-cluster the probes.
+  // Object ids come out of a cipher over a counter, so their low bits are
+  // already well mixed; the multiply-shift spreads any residual pattern.
   static size_t PubHash(ObjectId id) {
     uint64_t h = id * 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
     return static_cast<size_t>(h);
   }
 
-  // Rebuilds the shard's published index from the authoritative map
-  // (dropping tombstones) at twice the live count, publishes it, and
-  // retires the outgrown array — a lock-free reader may still be probing
-  // it. Requires the shard locked exclusive.
-  PubIndex* GrowPubLocked(Shard& sh) REQUIRES(sh.mu) {
+  // Rebuilds the published index from the authoritative map (dropping
+  // tombstones) at twice the live count, publishes it, and retires the
+  // outgrown array — a lock-free reader may still be probing it. Requires
+  // the table locked exclusive.
+  PubIndex* GrowPubLocked() REQUIRES(table_mu_) {
     size_t cap = kMinPubCapacity;
-    while (cap < (sh.objects.size() + 1) * 2) {
+    while (cap < (objects_.size() + 1) * 2) {
       cap <<= 1;
     }
     PubIndex* fresh = new PubIndex(cap);
     const size_t mask = cap - 1;
-    for (const auto& [oid, obj] : sh.objects) {
+    for (const auto& [oid, obj] : objects_) {
       for (size_t i = PubHash(oid) & mask;; i = (i + 1) & mask) {
         PubSlot& s = fresh->slots[i];
         if (s.id.load(std::memory_order_relaxed) == kInvalidObject) {
@@ -292,20 +228,20 @@ class ObjectTable {
         }
       }
     }
-    PubIndex* old = sh.pub.load(std::memory_order_relaxed);
-    sh.pub.store(fresh, std::memory_order_release);
+    PubIndex* old = pub_.load(std::memory_order_relaxed);
+    pub_.store(fresh, std::memory_order_release);
     if (old != nullptr) {
       EpochDomain::Global().Retire(old);
     }
     return fresh;
   }
 
-  // Requires the shard locked exclusive; `id` must already be in
-  // sh.objects (GrowPubLocked rebuilds from the map).
-  void PublishLocked(Shard& sh, ObjectId id, Object* raw) REQUIRES(sh.mu) {
-    PubIndex* idx = sh.pub.load(std::memory_order_relaxed);
+  // Requires the table locked exclusive; `id` must already be in objects_
+  // (GrowPubLocked rebuilds from the map).
+  void PublishLocked(ObjectId id, Object* raw) REQUIRES(table_mu_) {
+    PubIndex* idx = pub_.load(std::memory_order_relaxed);
     if (idx == nullptr || (idx->used + 1) * 2 > idx->capacity) {
-      idx = GrowPubLocked(sh);
+      idx = GrowPubLocked();
     }
     const size_t mask = idx->capacity - 1;
     for (size_t i = PubHash(id) & mask;; i = (i + 1) & mask) {
@@ -325,9 +261,9 @@ class ObjectTable {
     }
   }
 
-  // Requires the shard locked exclusive.
-  void UnpublishLocked(Shard& sh, ObjectId id) REQUIRES(sh.mu) {
-    PubIndex* idx = sh.pub.load(std::memory_order_relaxed);
+  // Requires the table locked exclusive.
+  void UnpublishLocked(ObjectId id) REQUIRES(table_mu_) {
+    PubIndex* idx = pub_.load(std::memory_order_relaxed);
     if (idx == nullptr) {
       return;
     }
@@ -345,86 +281,35 @@ class ObjectTable {
     }
   }
 
-  static size_t NormalizeShardCount(size_t n) {
-    if (n < 1) {
-      n = 1;
-    }
-    if (n > kMaxShardCount) {
-      n = kMaxShardCount;
-    }
-    size_t p = 1;
-    while (p < n) {
-      p <<= 1;
-    }
-    return p;
-  }
-
-  const size_t shard_count_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable SharedMutex table_mu_;
+  std::unordered_map<ObjectId, std::unique_ptr<Object>> objects_ GUARDED_BY(table_mu_);
+  // Lock-free published index over `objects_`. Written only under the
+  // exclusive table lock; read via acquire loads with no lock at all.
+  std::atomic<PubIndex*> pub_{nullptr};
   mutable TableCap cap_;
   mutable std::atomic<bool> lock_accounting_{false};
   mutable std::atomic<uint64_t> lock_acquisitions_{0};
 };
 
-// Shared bound for the optimistic footprint-discovery loops (sys_as_access,
-// sys_thread_alert): rounds attempted with targeted shard sets — widening
-// whenever a derived id escapes the locked set — before falling back to
-// an all-shards TableLock, which covers any derivation and guarantees
-// termination. One constant so the two copies of the protocol cannot drift.
-inline constexpr int kFootprintDiscoveryRounds = 4;
-
-// RAII acquisition of the set of shards covering a group of ObjectIds, all
-// in one mode, always in ascending shard-index order. A syscall computes its
-// full footprint up front (self, the ⟨D,O⟩ entries it dereferences, any
-// freshly allocated id), takes one TableLock, and never acquires another
-// while it is held — see the lock hierarchy in ARCHITECTURE.md.
+// RAII acquisition of the table lock in one mode. A syscall takes one
+// TableLock and never acquires another while it is held — see the lock
+// hierarchy in ARCHITECTURE.md.
 //
-// TableLock is a SCOPED_CAPABILITY over the table's fictional cap(): each
-// constructor ACQUIREs it and the destructor RELEASEs it, so *Locked
-// REQUIRES clauses are dischargeable only inside a live TableLock scope.
-// All three constructions are direct (tag-dispatched) rather than
-// by-value factories: the analysis tracks scoped capabilities reliably
-// only when the scope object is constructed in place, and a movable lock
-// would reopen the moved-from/double-release ambiguity the annotation is
-// meant to close. histar-lint's `second-table-lock` rule covers the
-// remaining dynamic half (no second construction while one is live).
+// TableLock is a SCOPED_CAPABILITY over the table's cap(): the constructor
+// ACQUIREs it and the destructor RELEASEs it, so *Locked REQUIRES clauses
+// are dischargeable only inside a live TableLock scope. It is constructed
+// in place rather than returned by a factory: the analysis tracks scoped
+// capabilities reliably only when the scope object is constructed in
+// place, and a movable lock would reopen the moved-from/double-release
+// ambiguity the annotation is meant to close. histar-lint's
+// `second-table-lock` rule covers the remaining dynamic half (no second
+// construction while one is live).
 class SCOPED_CAPABILITY TableLock {
  public:
   enum class Mode { kShared, kExclusive };
 
-  // Tag selecting the every-shard footprint — the cross-shard path
-  // (container unref's recursive destroy, checkpoint snapshots, restore,
-  // operations whose object set is unknown until objects are read).
-  struct AllShards {};
-  // Tag selecting a precomputed shard bit mask — the batch dispatcher
-  // path (Kernel::SubmitBatch), which unions the footprints of a whole
-  // request group and pays this single acquisition for all of them.
-  struct ByMask {};
-
-  // Locks the shards covering `ids` (duplicates and same-shard ids collapse
-  // into one acquisition). Ids that are kInvalidObject still map to a shard
-  // and are locked — callers pass whatever the syscall received and the
-  // not-found checks run under the lock as usual.
-  TableLock(const ObjectTable& table, Mode mode,
-            std::initializer_list<ObjectId> ids) ACQUIRE(table.cap())
-      : table_(&table), mode_(mode), mask_(0) {
-    for (ObjectId id : ids) {
-      mask_ |= uint64_t{1} << table.ShardOf(id);
-    }
-    Acquire();
-  }
-
-  // Locks every shard.
-  TableLock(const ObjectTable& table, Mode mode, AllShards)
-      ACQUIRE(table.cap())
-      : table_(&table), mode_(mode), mask_(table.AllShardsMask()) {
-    Acquire();
-  }
-
-  // Locks the shards named by a precomputed bit mask.
-  TableLock(const ObjectTable& table, Mode mode, uint64_t shard_mask, ByMask)
-      ACQUIRE(table.cap())
-      : table_(&table), mode_(mode), mask_(shard_mask) {
+  TableLock(const ObjectTable& table, Mode mode) ACQUIRE(table.cap())
+      : table_(&table), mode_(mode) {
     Acquire();
   }
 
@@ -435,60 +320,38 @@ class SCOPED_CAPABILITY TableLock {
   TableLock(TableLock&&) = delete;
   TableLock& operator=(TableLock&&) = delete;
 
-  // True if this lock's shard set covers `id` — used by optimistic
-  // discover-then-relock paths (sys_as_access writes) to verify that the
-  // objects re-resolved under the exclusive lock are actually covered by it.
-  bool Covers(ObjectId id) const {
-    return (mask_ & (uint64_t{1} << table_->ShardOf(id))) != 0;
-  }
-
  private:
-  // The shard set is data-dependent, so the per-shard acquisitions cannot
-  // be expressed to the analysis; the fictional table capability on the
-  // constructors/destructor carries the static story instead. Ascending
-  // index order here is the deadlock-freedom argument (ARCHITECTURE.md).
+  // The mode is chosen at run time, which the analysis cannot follow; the
+  // table capability on the constructor/destructor carries the static
+  // story instead.
   void Acquire() NO_THREAD_SAFETY_ANALYSIS {
     if (table_->lock_accounting_.load(std::memory_order_relaxed)) {
       table_->lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
     }
     table_->cap_.Acquire();
-    for (size_t i = 0; i < table_->shard_count_; ++i) {
-      if ((mask_ & (uint64_t{1} << i)) == 0) {
-        continue;
-      }
-      SharedMutex& mu = table_->shards_[i]->mu;
-      if (mode_ == Mode::kExclusive) {
-        mu.Lock();
-      } else {
-        mu.ReaderLock();
-      }
+    if (mode_ == Mode::kExclusive) {
+      table_->table_mu_.Lock();
+    } else {
+      table_->table_mu_.ReaderLock();
     }
   }
 
   void Release() NO_THREAD_SAFETY_ANALYSIS {
     table_->cap_.Release();
-    for (size_t i = 0; i < table_->shard_count_; ++i) {
-      if ((mask_ & (uint64_t{1} << i)) == 0) {
-        continue;
-      }
-      SharedMutex& mu = table_->shards_[i]->mu;
-      if (mode_ == Mode::kExclusive) {
-        mu.Unlock();
-      } else {
-        mu.ReaderUnlock();
-      }
+    if (mode_ == Mode::kExclusive) {
+      table_->table_mu_.Unlock();
+    } else {
+      table_->table_mu_.ReaderUnlock();
     }
-    mask_ = 0;
   }
 
   const ObjectTable* const table_;
   const Mode mode_;
-  uint64_t mask_ = 0;
 };
 
 // The epoch-protected stand-in for a TableLock on lock-free read groups
 // (Kernel::SubmitBatch): the caller pairs an EpochGuard with
-// PublishedReadMode, which together substitute for the shared shard locks
+// PublishedReadMode, which together substitute for the shared table lock
 // on the side-effect-free *Locked read bodies (kernel.h documents the
 // runtime contract; the epoch TSan suites exercise it). This scope tells
 // the static analysis the same table capability is satisfied, so those

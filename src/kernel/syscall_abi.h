@@ -8,10 +8,10 @@
 // and holds alternative index i+1 of SyscallRes (index 0, std::monostate,
 // means "never filled"). The descriptors carry the §3 label-rule inputs
 // explicitly — caller-supplied labels, container entries, create specs —
-// so the dispatcher can compute a request's full shard footprint before
-// touching any lock; that is what lets SubmitBatch execute a run of
-// same-footprint requests under ONE ascending-order TableLock instead of
-// one per call (ARCHITECTURE.md "The batched syscall ABI").
+// so the dispatcher can tell from the descriptor alone whether a request
+// can share a lock group; that is what lets SubmitBatch execute a run of
+// requests under ONE TableLock instead of one per call (ARCHITECTURE.md
+// "The batched syscall ABI").
 //
 // Buffer fields (`buf`, `data`) are caller-owned raw pointers into the
 // submitter's memory: they must stay valid until SubmitBatch returns.

@@ -555,10 +555,10 @@ Result<int64_t> ProcHandle::Wait(ObjectId self, uint32_t timeout_ms) {
 }
 
 Status ProcHandle::Kill(ObjectId self, int signo) {
-  // The gate-call sequence is three same-shard syscalls on `self` (pass the
-  // signal number through the thread-local segment — the §3.5 argument
+  // The gate-call sequence is three syscalls on `self` (pass the signal
+  // number through the thread-local segment — the §3.5 argument
   // convention — then fetch the labels the request is built from): ONE
-  // batch, one kernel lock round-trip.
+  // batch, at most one kernel lock round-trip.
   uint64_t code = static_cast<uint64_t>(signo);
   SyscallReq pre[3] = {SyscallReq{SelfLocalWriteReq{&code, 0, 8}},
                        SyscallReq{SelfGetLabelReq{}}, SyscallReq{SelfGetClearanceReq{}}};
@@ -585,7 +585,7 @@ Status ProcHandle::Kill(ObjectId self, int signo) {
     return st;
   }
   // Restore label then clearance — one batch again (order preserved within
-  // a batch, and both land on self's shard).
+  // a batch, one lock round-trip).
   SyscallReq post[2] = {SyscallReq{SelfSetLabelReq{mine.label}},
                         SyscallReq{SelfSetClearanceReq{myclear.clearance}}};
   SyscallRes post_res[2];

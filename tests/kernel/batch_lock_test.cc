@@ -1,13 +1,12 @@
-// Lock-accounting tests for the batched syscall ABI (PR 3): the acceptance
-// property is that a same-shard batch performs AT MOST ONE TableLock
-// acquisition, where the per-call path pays one per syscall. The counter
-// behind these assertions lives in ObjectTable (set_lock_accounting /
+// Lock-accounting tests for the batched syscall ABI (PR 3) and the one
+// table lock: a batch group performs AT MOST ONE TableLock acquisition,
+// where the per-call path pays one per syscall, and no syscall takes more
+// than one — not a create (its id is allocated under the lock it already
+// holds), not a recursive destroy, not an access or alert whose objects
+// are only known once the thread is read. The counter behind these
+// assertions lives in ObjectTable (set_lock_accounting /
 // lock_acquisitions) and is off outside tests, so the fast path carries no
 // shared atomic.
-//
-// Also pinned here: the per-thread last-fault hint collapses sys_as_access's
-// footprint-discovery loop to one lock round once warm, and invalidation on
-// remap keeps the hint from going stale.
 #include <gtest/gtest.h>
 
 #include "tests/kernel/kernel_test_util.h"
@@ -15,7 +14,7 @@
 namespace histar {
 namespace {
 
-class BatchLockTest : public KernelTest {
+class LockCountTest : public KernelTest {
  protected:
   // Lock acquisitions performed by `fn` alone.
   template <typename Fn>
@@ -30,7 +29,9 @@ class BatchLockTest : public KernelTest {
   }
 };
 
-TEST_F(BatchLockTest, SameShardBatchTakesExactlyOneLock) {
+class BatchLockTest : public LockCountTest {};
+
+TEST_F(BatchLockTest, ReadBatchTakesExactlyOneLock) {
   ObjectId seg = MakeSegment(Label(), 256);
   ContainerEntry ce = RootEntry(seg);
   char buf[8] = {};
@@ -40,9 +41,9 @@ TEST_F(BatchLockTest, SameShardBatchTakesExactlyOneLock) {
   for (size_t i = 0; i < kN; ++i) {
     reqs[i] = SegmentReadReq{ce, buf, 8 * i, 8};
   }
-  // Every entry names the same ⟨D,O⟩ and the same self, so the whole batch
-  // is one group over one shard set: exactly one TableLock acquisition —
-  // the acceptance criterion of the batch ABI.
+  // Every entry is a batchable read, so the whole batch is one group:
+  // exactly one TableLock acquisition — the acceptance criterion of the
+  // batch ABI.
   uint64_t n = Acquisitions([&] {
     ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
   });
@@ -84,7 +85,7 @@ TEST_F(BatchLockTest, MixedReadWriteBatchStillOneLock) {
   EXPECT_EQ(n, 1u);
 }
 
-TEST_F(BatchLockTest, CreateBatchPaysOneGroupLockPlusIdProbes) {
+TEST_F(BatchLockTest, CreateBatchTakesExactlyOneLock) {
   CreateSpec spec;
   spec.container = kernel_->root_container();
   spec.label = Label();
@@ -96,14 +97,13 @@ TEST_F(BatchLockTest, CreateBatchPaysOneGroupLockPlusIdProbes) {
   for (size_t i = 0; i < kN; ++i) {
     reqs[i] = SegmentCreateReq{spec, 64};
   }
-  // Each create preallocates its object id before the group lock
-  // (AllocObjectId probes the candidate's shard: one brief shared lock
-  // each, since the cipher allocator never collides in a fresh kernel);
-  // the bodies then share ONE group lock.
+  // Each create allocates its object id under the group lock it already
+  // holds (the collision probe is a ContainsLocked), so the whole batch
+  // is ONE acquisition.
   uint64_t n = Acquisitions([&] {
     ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
   });
-  EXPECT_EQ(n, 1u + kN);
+  EXPECT_EQ(n, 1u);
   for (size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(std::get<SegmentCreateRes>(res[i]).status, Status::kOk);
   }
@@ -121,7 +121,7 @@ TEST_F(BatchLockTest, UnbatchableEntrySplitsGroupsButCompletes) {
     ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
   });
   // group(write) + futex-wake's own validation lock + group(read): the
-  // unbatchable middle entry costs its pre-batch footprint, no more.
+  // unbatchable middle entry costs its own one lock, no more.
   EXPECT_EQ(n, 3u);
 }
 
@@ -204,9 +204,46 @@ TEST_F(BatchLockTest, WarmRegistryLeqTakesZeroRegistryLocks) {
   EXPECT_EQ(primed, after) << "warm Leq must take zero registry locks";
 }
 
-// ---- last-fault hint (the sys_as_access satellite) --------------------------
+// ---- one lock per syscall -------------------------------------------------------
 
-class FaultHintTest : public KernelTest {
+TEST_F(LockCountTest, RecursiveUnrefTakesExactlyOneLock) {
+  // A container subtree: the unlink and the recursive destroy of every
+  // descendant run under one exclusive acquisition.
+  ObjectId top = MakeContainer(Label(), kInvalidObject, 1 << 20);
+  ObjectId mid = MakeContainer(Label(), top, 1 << 18);
+  ObjectId seg = MakeSegment(Label(), 64, mid);
+  uint64_t n = Acquisitions([&] {
+    ASSERT_EQ(kernel_->sys_container_unref(init_, RootEntry(top)), Status::kOk);
+  });
+  EXPECT_EQ(n, 1u);
+  EXPECT_FALSE(kernel_->ObjectExists(top));
+  EXPECT_FALSE(kernel_->ObjectExists(mid));
+  EXPECT_FALSE(kernel_->ObjectExists(seg));
+}
+
+TEST_F(LockCountTest, ThreadAlertTakesExactlyOneLock) {
+  // The §3.4 check reaches through the target's address space, which is
+  // known only once the target is read; the one lock covers it anyway.
+  CreateSpec aspec;
+  aspec.container = kernel_->root_container();
+  aspec.label = Label();
+  aspec.descrip = "as";
+  Result<ObjectId> as = kernel_->sys_as_create(init_, aspec);
+  ASSERT_TRUE(as.ok());
+  ObjectId target = MakeThread(Label(), Label(Level::k2));
+  ASSERT_EQ(kernel_->sys_self_set_as(target, RootEntry(as.value())), Status::kOk);
+  uint64_t n = Acquisitions([&] {
+    ASSERT_EQ(kernel_->sys_thread_alert(init_, RootEntry(target), 7), Status::kOk);
+  });
+  EXPECT_EQ(n, 1u);
+  Result<uint64_t> code = kernel_->sys_self_next_alert(target);
+  ASSERT_TRUE(code.ok());
+  EXPECT_EQ(code.value(), 7u);
+}
+
+// ---- sys_as_access ---------------------------------------------------------------
+
+class AsAccessTest : public LockCountTest {
  protected:
   // Builds an AS mapping va 0x1000 → `seg` and binds it to init.
   void MapSegment(ObjectId seg) {
@@ -223,71 +260,53 @@ class FaultHintTest : public KernelTest {
     ASSERT_EQ(kernel_->sys_self_set_as(init_, RootEntry(as_)), Status::kOk);
   }
 
-  template <typename Fn>
-  uint64_t Acquisitions(Fn&& fn) {
-    const ObjectTable& table = kernel_->object_table();
-    table.set_lock_accounting(true);
-    uint64_t before = table.lock_acquisitions();
-    fn();
-    uint64_t after = table.lock_acquisitions();
-    table.set_lock_accounting(false);
-    return after - before;
-  }
-
   ObjectId as_ = kInvalidObject;
 };
 
-TEST_F(FaultHintTest, WarmAccessPaysExactlyOneLockRound) {
+TEST_F(AsAccessTest, EveryAccessTakesExactlyOneLock) {
   ObjectId seg = MakeSegment(Label(), kPageSize);
   MapSegment(seg);
   char buf[8] = {};
-  // Cold: the discovery loop derives AS then segment — up to three targeted
-  // rounds (each one TableLock).
-  uint64_t cold = Acquisitions([&] {
-    ASSERT_EQ(kernel_->sys_as_access(init_, 0x1000, buf, 8, false), Status::kOk);
-  });
-  EXPECT_GE(cold, 1u);
-  EXPECT_LE(cold, 3u);
-  // Warm: the last-fault hint seeds a covering round 0 — exactly one
-  // acquisition, read or write.
-  uint64_t warm_read = Acquisitions([&] {
-    ASSERT_EQ(kernel_->sys_as_access(init_, 0x1008, buf, 8, false), Status::kOk);
-  });
-  EXPECT_EQ(warm_read, 1u);
-  uint64_t warm_write = Acquisitions([&] {
-    ASSERT_EQ(kernel_->sys_as_access(init_, 0x1010, buf, 8, true), Status::kOk);
-  });
-  EXPECT_EQ(warm_write, 1u);
+  // The thread → AS → mapping → segment chain is resolved under one lock,
+  // whether or not this thread has accessed the mapping before, for reads
+  // and for writes alike.
+  for (bool write : {false, true}) {
+    for (uint64_t va : {0x1000, 0x1008}) {
+      uint64_t n = Acquisitions([&] {
+        ASSERT_EQ(kernel_->sys_as_access(init_, va, buf, 8, write), Status::kOk);
+      });
+      EXPECT_EQ(n, 1u) << (write ? "write" : "read") << " at " << va;
+    }
+  }
 }
 
-TEST_F(FaultHintTest, RemapInvalidatesHintButStaysCorrect) {
+TEST_F(AsAccessTest, RemapTakesEffectOnNextAccess) {
   ObjectId seg_a = MakeSegment(Label(), kPageSize);
   ObjectId seg_b = MakeSegment(Label(), kPageSize);
   MapSegment(seg_a);
   char mark = 'A';
   ASSERT_EQ(kernel_->sys_as_access(init_, 0x1000, &mark, 1, true), Status::kOk);
 
-  // Remap the same VA onto segment B (sys_as_set clears the caller's hint).
+  // Remap the same VA onto segment B.
   std::vector<Mapping> maps = {
       Mapping{0x1000, RootEntry(seg_b), 0, 1, kMapRead | kMapWrite}};
   ASSERT_EQ(kernel_->sys_as_set(init_, RootEntry(as_), maps), Status::kOk);
 
   char got = 0;
   ASSERT_EQ(kernel_->sys_as_access(init_, 0x1000, &got, 1, false), Status::kOk);
-  EXPECT_EQ(got, 0) << "read must hit the fresh segment B, not the stale hint";
+  EXPECT_EQ(got, 0) << "read must hit the fresh segment B, not the old mapping";
   char direct = 0;
   ASSERT_EQ(kernel_->sys_segment_read(init_, RootEntry(seg_a), &direct, 0, 1), Status::kOk);
   EXPECT_EQ(direct, 'A') << "the original write landed in segment A";
 }
 
-TEST_F(FaultHintTest, StaleHintFromResizeNeverMisreads) {
+TEST_F(AsAccessTest, ShrunkSegmentFailsWithRange) {
   ObjectId seg = MakeSegment(Label(), kPageSize);
   MapSegment(seg);
   char buf[8] = {};
   ASSERT_EQ(kernel_->sys_as_access(init_, 0x1000, buf, 8, false), Status::kOk);
-  // Shrink the backing segment; the hinted translation is now out of range
-  // and the access must fail with kRange (the resize cleared the caller's
-  // hint, but even an uncleaned hint re-derives under the lock).
+  // Shrink the backing segment; the translation is now out of range and
+  // the access must fail with kRange.
   ASSERT_EQ(kernel_->sys_segment_resize(init_, RootEntry(seg), 4), Status::kOk);
   EXPECT_EQ(kernel_->sys_as_access(init_, 0x1000, buf, 8, false), Status::kRange);
 }

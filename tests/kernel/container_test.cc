@@ -1,6 +1,8 @@
 // Container hierarchy, container entries, and deallocation (paper §3.2).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/kernel/kernel_test_util.h"
 
 namespace histar {
@@ -55,6 +57,26 @@ TEST_F(ContainerTest, UnrefRecursesIntoSubtree) {
   EXPECT_FALSE(kernel_->ObjectExists(a));
   EXPECT_FALSE(kernel_->ObjectExists(b));
   EXPECT_FALSE(kernel_->ObjectExists(seg));
+}
+
+TEST_F(ContainerTest, UnrefReclaimsWideSubtree) {
+  // A two-level tree: every child container and its segment go with the
+  // top, and the table ends exactly where it started — nothing lost,
+  // nothing leaked.
+  size_t before = kernel_->ObjectCount();
+  ObjectId top = MakeContainer(Label(Level::k1), kInvalidObject, 64 << 20);
+  std::vector<ObjectId> all;
+  for (int i = 0; i < 32; ++i) {
+    ObjectId c = MakeContainer(Label(Level::k1), top, 32 * kPageSize);
+    all.push_back(c);
+    all.push_back(MakeSegment(Label(Level::k1), 128, c));
+  }
+  ASSERT_EQ(kernel_->sys_container_unref(init_, RootEntry(top)), Status::kOk);
+  EXPECT_FALSE(kernel_->ObjectExists(top));
+  for (ObjectId id : all) {
+    EXPECT_FALSE(kernel_->ObjectExists(id)) << id;
+  }
+  EXPECT_EQ(kernel_->ObjectCount(), before);
 }
 
 TEST_F(ContainerTest, EntryRequiresActualLink) {

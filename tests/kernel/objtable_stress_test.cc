@@ -1,12 +1,12 @@
-// Concurrent syscall stress over the sharded object table (PR 2).
+// Concurrent syscall stress over the object table and its one lock.
 //
 // Host threads hammer the three classes of table access concurrently:
-// read-mostly resolves (shared shard locks), targeted mutation (exclusive
-// shard locks), and cross-shard destruction (all-shards exclusive). The
-// patterns are TSan-friendly — bounded iterations, no sleeps in the hot
-// loops, every cross-thread handoff through kernel syscalls — and the CI
-// ThreadSanitizer job runs exactly this binary to race future lock changes.
-// Invariants checked at the end are the same ones cross_shard_test.cc pins
+// read-mostly resolves (shared table lock), mutation (exclusive), and
+// recursive subtree destruction (exclusive). The patterns are TSan-friendly
+// — bounded iterations, no sleeps in the hot loops, every cross-thread
+// handoff through kernel syscalls — and the CI ThreadSanitizer job runs
+// exactly this binary to race future lock changes. Invariants checked at
+// the end are the ones container_test.cc and quota_test.cc pin
 // deterministically: nothing lost, nothing leaked, quotas balanced.
 #include <gtest/gtest.h>
 
@@ -25,8 +25,7 @@ struct StressWorld {
   ObjectId init;
   std::vector<ObjectId> workers;
 
-  explicit StressWorld(int nworkers, size_t shards = ObjectTable::kDefaultShardCount)
-      : kernel(shards) {
+  explicit StressWorld(int nworkers) {
     init = kernel.BootstrapThread(Label(Level::k1), Label(Level::k2), "init");
     for (int i = 0; i < nworkers; ++i) {
       workers.push_back(kernel.BootstrapThread(Label(Level::k1), Label(Level::k2),
@@ -47,7 +46,7 @@ ObjectId MustSegment(Kernel* k, ObjectId self, ObjectId parent, uint64_t len) {
 }
 
 // Readers resolve shared segments while writers create/write/unref private
-// subtrees: the exact mixed workload the shard split is for.
+// subtrees: the mixed workload of a busy multi-process system.
 TEST(ObjectTableStress, ConcurrentResolveCreateUnref) {
   constexpr int kThreads = 4;
   constexpr int kIters = 400;
@@ -55,7 +54,7 @@ TEST(ObjectTableStress, ConcurrentResolveCreateUnref) {
   Kernel* k = &w.kernel;
   ObjectId root = k->root_container();
 
-  // A pool of shared read-only segments spread across shards.
+  // A pool of shared read-only segments.
   std::vector<ObjectId> shared;
   for (int i = 0; i < 32; ++i) {
     shared.push_back(MustSegment(k, w.init, root, 64));
@@ -71,14 +70,14 @@ TEST(ObjectTableStress, ConcurrentResolveCreateUnref) {
       uint64_t buf = 0;
       for (int i = 0; i < kIters; ++i) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        // Read a random shared segment (shared shard locks).
+        // Read a random shared segment (shared table lock).
         ObjectId seg = shared[(x >> 16) % shared.size()];
         if (k->sys_segment_read(self, ContainerEntry{root, seg}, &buf, 0, 8) !=
             Status::kOk) {
           ++failures;
         }
         // Create a private container + segment, write, unref the subtree
-        // (exclusive locks, then the all-shards destroy path).
+        // (exclusive locks, the last one a recursive destroy).
         CreateSpec cs;
         cs.container = root;
         cs.label = Label(Level::k1);
@@ -112,9 +111,8 @@ TEST(ObjectTableStress, ConcurrentResolveCreateUnref) {
   }
 }
 
-// All threads mutate the SAME container (maximum exclusive-lock contention
-// on one shard) while others read it: link-count and usage bookkeeping must
-// come out exact.
+// All threads mutate the SAME container while others read it: link-count
+// and usage bookkeeping must come out exact.
 TEST(ObjectTableStress, SingleContainerContention) {
   constexpr int kThreads = 4;
   constexpr int kIters = 250;
@@ -170,9 +168,9 @@ TEST(ObjectTableStress, SingleContainerContention) {
   EXPECT_TRUE(fit.ok()) << StatusName(fit.status());
 }
 
-// Thread relabeling (exclusive on the thread's shard) racing against other
-// threads observing it (shared on the same shard): label reads must never
-// tear — every observed label is one the thread actually held.
+// Thread relabeling (exclusive) racing against other threads observing it
+// (lock-free or shared): label reads must never tear — every observed
+// label is one the thread actually held.
 TEST(ObjectTableStress, RelabelVsObserve) {
   constexpr int kIters = 300;
   StressWorld w(2);
@@ -218,7 +216,7 @@ TEST(ObjectTableStress, RelabelVsObserve) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Futex wait/wake across the split futex_mu_ / shard-lock design: every
+// Futex wait/wake across the split futex_mu_ / table-lock design: every
 // protocol round must complete (no lost wakeups) even though the waiter's
 // word read and its sleep are no longer under one kernel-wide lock.
 TEST(ObjectTableStress, FutexHandoffNoLostWakeups) {

@@ -66,6 +66,34 @@ TEST_F(QuotaTest, QuotaMoveShrinkRequiresSpareBytes) {
   EXPECT_EQ(kernel_->sys_quota_move(init_, dir, seg.value(), -4096), Status::kOk);
 }
 
+TEST_F(QuotaTest, QuotaMoveRoundTripStaysBalanced) {
+  ObjectId d = MakeContainer(Label(Level::k1), kInvalidObject, 1 << 20);
+  ObjectId o = MakeContainer(Label(Level::k1), d, 32 * kPageSize);
+
+  auto quota_of = [&](ObjectId dd, ObjectId oo) {
+    Result<uint64_t> q = kernel_->sys_obj_get_quota(init_, ContainerEntry{dd, oo});
+    EXPECT_TRUE(q.ok()) << StatusName(q.status());
+    return q.ok() ? q.value() : 0;
+  };
+  uint64_t o_before = quota_of(d, o);
+  uint64_t d_before = quota_of(kernel_->root_container(), d);
+
+  // Grow O from D's pool...
+  ASSERT_EQ(kernel_->sys_quota_move(init_, d, o, 4 * kPageSize), Status::kOk);
+  EXPECT_EQ(quota_of(d, o), o_before + 4 * kPageSize);
+  // ...then shrink it back. D's own quota never changes (only its usage),
+  // and O ends exactly where it started: nothing leaked.
+  ASSERT_EQ(kernel_->sys_quota_move(init_, d, o, -static_cast<int64_t>(4 * kPageSize)),
+            Status::kOk);
+  EXPECT_EQ(quota_of(d, o), o_before);
+  EXPECT_EQ(quota_of(kernel_->root_container(), d), d_before);
+
+  // The freed headroom is genuinely reusable: a segment still fits in D
+  // after the round trip.
+  ObjectId s = MakeSegment(Label(Level::k1), 256, d);
+  EXPECT_TRUE(kernel_->ObjectExists(s));
+}
+
 TEST_F(QuotaTest, ShrinkRequiresObservePermission) {
   // §3.3: n < 0 requires L_O ⊑ L_T^J because the error path reveals O's
   // spare space. Build an object the mover cannot observe.

@@ -427,7 +427,7 @@ TEST_F(IncrementalCheckpointTest, WriteDuringCommitStaysDirtyForNextIncrement) {
   char b = '1';
   ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &b, 0, 1), Status::kOk);
 
-  // While the first checkpoint commits (no shard lock held), another write
+  // While the first checkpoint commits (no table lock held), another write
   // lands on the already-serialized segment.
   target.mid_commit = [&]() {
     char c = '2';

@@ -3,16 +3,16 @@
 
 namespace histar {
 
-void Bad(ObjectTable& table, ObjectId a, ObjectId b) {
-  TableLock outer(table, TableLock::Mode::kShared, {a});
+void Bad(ObjectTable& table) {
+  TableLock outer(table, TableLock::Mode::kShared);
   {
-    // BAD: a second acquisition while `outer` is live — deadlock-order bug.
-    TableLock inner(table, TableLock::Mode::kExclusive, {b});
+    // BAD: a second acquisition while `outer` is live — self-deadlock.
+    TableLock inner(table, TableLock::Mode::kExclusive);
   }
 }
 
-void AlsoBad(ObjectTable& table, ObjectId a) {
-  TableLock lk(table, TableLock::Mode::kShared, {a});
+void AlsoBad(ObjectTable& table) {
+  TableLock lk(table, TableLock::Mode::kShared);
   PublishedReadTableCap cap_scope(table);  // BAD: overlaps the scoped lock
 }
 

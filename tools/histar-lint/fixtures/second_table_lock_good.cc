@@ -4,17 +4,16 @@
 
 namespace histar {
 
-void Good(ObjectTable& table, ObjectId a, ObjectId b) {
+void Good(ObjectTable& table) {
   {
-    TableLock lk(table, TableLock::Mode::kShared, {a});
+    TableLock lk(table, TableLock::Mode::kShared);
   }
   {
-    // Retry under a wider lock: legal, the first scope has closed.
-    TableLock lk(table, TableLock::Mode::kExclusive, TableLock::AllShards{});
+    // Retake in another mode: legal, the first scope has closed.
+    TableLock lk(table, TableLock::Mode::kExclusive);
   }
   const char* s = "TableLock fake(table, x); TableLock fake2(table, y);";
   (void)s;
-  (void)b;
 }
 
 }  // namespace histar

@@ -5,9 +5,13 @@
 namespace histar {
 
 void Bad(ObjectTable& table) {
-  // BAD: manual capability acquisition skips the ascending-order discipline.
+  // BAD: manual capability acquisition bypasses the scoped lock.
   table.cap().Acquire();
   table.cap().Release();
 }
+
+// BAD: naming the table's mutex outside object_table.h (the fixture is
+// only lexed, never compiled, so the private access is not an error here).
+void AlsoBad(ObjectTable& table) { table.table_mu_.Lock(); }
 
 }  // namespace histar

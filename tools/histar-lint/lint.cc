@@ -209,14 +209,21 @@ void CheckRawSync(const std::string& path, int lineno, const std::string& line,
 void CheckShardMutex(const std::string& path, int lineno, const std::string& line,
                      std::vector<Finding>* out) {
   // TableCap's acquire/release pair belongs to TableLock and
-  // PublishedReadTableCap alone; shard storage is object_table.h-private.
+  // PublishedReadTableCap alone; the table's mutex is object_table.h-private.
   static const char* kForbidden[] = {"cap().Acquire(", "cap().Release(",
-                                     "cap_.Acquire(", "cap_.Release(", "shards_["};
+                                     "cap_.Acquire(", "cap_.Release(", "table_mu_"};
   for (const char* pat : kForbidden) {
-    if (FindWord(line, pat) != std::string::npos) {
-      out->push_back({path, lineno, "shard-mutex-outside-tablelock",
-                      std::string(pat) + " — shard locks are acquired only through the "
-                                         "scoped TableLock (ascending order)"});
+    const size_t n = std::char_traits<char>::length(pat);
+    for (size_t pos = FindWord(line, pat); pos != std::string::npos;
+         pos = FindWord(line, pat, pos + 1)) {
+      // A token ending in an identifier character must also end the word,
+      // so `table_mu_count` is not the table's mutex.
+      if (!IsIdentChar(pat[n - 1]) || !IsIdentChar(line[pos + n])) {
+        out->push_back({path, lineno, "shard-mutex-outside-tablelock",
+                        std::string(pat) + " — the table lock is acquired only through "
+                                           "the scoped TableLock"});
+        break;
+      }
     }
   }
 }
@@ -322,7 +329,7 @@ void CheckScopedLine(const std::string& path, int lineno, const std::string& lin
     if (rule_table_lock && in_table_lock) {
       out->push_back({path, lineno, "second-table-lock",
                       "second table-capability acquisition while one is already live — "
-                      "one TableLock per syscall, ascending shard order"});
+                      "one TableLock per syscall"});
     }
     regions->push_back({"table-lock", depth, lineno});
   }

@@ -7,9 +7,9 @@
 //  * second-table-lock       A TableLock (or PublishedReadTableCap) may not
 //                            be constructed while another is live in an
 //                            enclosing scope: the table capability is
-//                            acquired once per syscall, in ascending shard
-//                            order, and a nested acquisition is the classic
-//                            lock-order deadlock.
+//                            acquired once per syscall, and a nested
+//                            acquisition of the non-recursive table lock
+//                            is a self-deadlock.
 //  * registry-bypass         Kernel hot paths must route every label-algebra
 //                            call (⊑, ⊔, shift) through the memoized
 //                            LabelRegistry — a bare Label::Leq or per-check
@@ -24,11 +24,12 @@
 //                            become a second fault mid-recovery from the
 //                            first.
 //  * shard-mutex-outside-tablelock
-//                            Object-table shard mutexes and the TableCap
-//                            Acquire/Release pair are touched only inside
-//                            object_table.h — everyone else goes through
-//                            the scoped TableLock, which is what guarantees
-//                            ascending acquisition order.
+//                            The object table's mutex (table_mu_) and the
+//                            TableCap Acquire/Release pair are touched only
+//                            inside object_table.h — everyone else goes
+//                            through the scoped TableLock, which is what
+//                            keeps lock accounting and the static
+//                            capability in step with the real mutex.
 //  * raw-sync-primitive      No std::mutex / condition_variable / lock
 //                            guards outside src/core/sync.h: the annotated
 //                            wrappers are what make -Wthread-safety able to
