@@ -387,8 +387,7 @@ void RegisterUpdateDaemon(ProcessManager* procs, const UpdateConfig* config) {
   });
 }
 
-void ServeDbOnce(NetDaemon* net, Kernel* kernel, ObjectId self, uint16_t port,
-                 const std::string& db_text) {
+void ServeDbOnce(NetDaemon* net, ObjectId self, uint16_t port, const std::string& db_text) {
   Result<uint64_t> ls = net->Listen(self, port);
   if (!ls.ok()) {
     return;

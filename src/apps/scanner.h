@@ -83,8 +83,7 @@ void RegisterUpdateDaemon(ProcessManager* procs, const UpdateConfig* config);
 // Serves one database download on `net` (the "mirror"): listens, accepts a
 // single connection, sends the serialized db, closes. Run on an i2 client
 // thread; returns when served or timed out.
-void ServeDbOnce(NetDaemon* net, Kernel* kernel, ObjectId self, uint16_t port,
-                 const std::string& db_text);
+void ServeDbOnce(NetDaemon* net, ObjectId self, uint16_t port, const std::string& db_text);
 
 }  // namespace histar
 

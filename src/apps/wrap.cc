@@ -6,19 +6,16 @@
 
 namespace histar {
 
-Result<WrapResult> WrapScan(ProcessContext& ctx, const std::vector<std::string>& paths,
-                            const WrapOptions& opts) {
+namespace {
+
+// Steps 2–6 of a scan, run while wrap owns the fresh taint category v.
+Result<WrapResult> ScanOwningV(ProcessContext& ctx, const std::vector<std::string>& paths,
+                               const WrapOptions& opts, CategoryId v) {
   Kernel* k = ctx.kernel;
   ObjectId self = ctx.self;
   WrapResult result;
-
-  // 1. A fresh taint category; wrap is its only owner.
-  Result<CategoryId> v = k->sys_cat_create(self);
-  if (!v.ok()) {
-    return v.status();
-  }
-  result.v = v.value();
-  Label vtaint(Level::k1, {{v.value(), Level::k3}});
+  result.v = v;
+  Label vtaint(Level::k1, {{v, Level::k3}});
 
   // 2. The private /tmp, writable at v3 (Figure 2's "Private /tmp").
   Result<ObjectId> priv_tmp =
@@ -106,11 +103,22 @@ Result<WrapResult> WrapScan(ProcessContext& ctx, const std::vector<std::string>&
   k->sys_container_unref(self, ContainerEntry{k->root_container(), priv_tmp.value()});
   pipe_fds.Close(self, pipe.value().first);
   pipe_fds.Close(self, pipe.value().second);
+  return result;
+}
 
-  // 7. Shed the v ownership: the category dies with the scan.
-  Label mine = k->sys_self_get_label(self).value();
-  mine.set(v.value(), Level::k1);
-  k->sys_self_set_label(self, mine);
+}  // namespace
+
+Result<WrapResult> WrapScan(ProcessContext& ctx, const std::vector<std::string>& paths,
+                            const WrapOptions& opts) {
+  // 1. A fresh taint category; wrap is its only owner.
+  Result<CategoryId> v = ctx.kernel->sys_cat_create(ctx.self);
+  if (!v.ok()) {
+    return v.status();
+  }
+  Result<WrapResult> result = ScanOwningV(ctx, paths, opts, v.value());
+  // 7. Shed v from label and clearance, whatever the outcome: the category
+  // dies with the scan.
+  ReleaseCategories(ctx.kernel, ctx.self, {v.value()});
   return result;
 }
 

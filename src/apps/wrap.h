@@ -47,7 +47,8 @@ struct WrapResult {
 
 // Runs one isolated scan of `paths` (absolute file paths). The calling
 // thread must own every category in opts.read_categories; it gains nothing
-// afterwards (wrap discards its v ownership with the scan).
+// afterwards (wrap sheds v from its label and clearance with the scan, on
+// every path out).
 Result<WrapResult> WrapScan(ProcessContext& ctx, const std::vector<std::string>& paths,
                             const WrapOptions& opts);
 

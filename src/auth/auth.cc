@@ -286,8 +286,6 @@ void MkRetryEntry(GateCall& call) {
       }
     }
   }
-  Label old_clear = k->sys_self_get_clearance(self).value();
-
   // Retry-count segment: {pir3, uw0, 1}. Zero-filled at creation — the
   // count of used attempts starts at 0, so no post-create write (which
   // would require pir3 *taint*) is needed.
@@ -320,7 +318,6 @@ void MkRetryEntry(GateCall& call) {
   Label drop = k->sys_self_get_clearance(self).value();
   drop.set(pir, Level::k2);
   k->sys_self_set_clearance(self, drop);
-  (void)old_clear;
 }
 
 // The password checker (Figure 9 step 3). Runs pir3-tainted: it can read the
@@ -386,7 +383,7 @@ void CheckGateEntry(GateCall& call) {
 }
 
 // Login's return gate: the crossing itself restores privilege; no code runs.
-void ReturnGateEntry(GateCall& call) {}
+void ReturnGateEntry(GateCall&) {}
 
 // The grant gate (Figure 9 step 4): clearance {x0, 2} admits only x owners;
 // the gate's label carries ur*/uw*. Logs the success — possible precisely
@@ -668,24 +665,24 @@ Result<LoginResult> AuthSystem::Login(ObjectId self, const std::string& username
     result.uw = users_[username].user.uw;
   }
 
-  // Clean up the thread's label: keep ur*/uw* (if granted), raise clearance
-  // headroom in them (owners may), and shed the protocol categories.
-  Label final_label = k->sys_self_get_label(self).value();
+  // Clean up the thread's label and clearance: keep ur*/uw* (if granted)
+  // with clearance headroom in them (owners may raise it), and shed the
+  // protocol categories pir, sw and x from both. Dropping ⋆ is a raise and
+  // lowering the clearance back to where it started is always allowed, so
+  // this one batch always succeeds; label first, so the clearance check sees
+  // the ownership it keeps.
   Label cleaned = original;
+  Label cleaned_clear = original_clear;
   if (result.authenticated) {
     cleaned.set(result.ur, Level::kStar);
     cleaned.set(result.uw, Level::kStar);
+    cleaned_clear.set(result.ur, Level::k3);
+    cleaned_clear.set(result.uw, Level::k3);
   }
-  // Everything else (pir, sw, x leftovers) reverts to default: dropping ⋆
-  // is a raise, so this always succeeds.
-  k->sys_self_set_label(self, cleaned);
-  if (result.authenticated) {
-    Label cl = k->sys_self_get_clearance(self).value();
-    cl.set(result.ur, Level::k3);
-    cl.set(result.uw, Level::k3);
-    k->sys_self_set_clearance(self, cl);
-  }
-  (void)final_label;
+  SyscallReq reqs[2] = {SyscallReq{SelfSetLabelReq{std::move(cleaned)}},
+                        SyscallReq{SelfSetClearanceReq{std::move(cleaned_clear)}}};
+  SyscallRes res[2];
+  k->SubmitBatch(self, reqs, res);
   // Tear down the session (resource hygiene; the root-writable login can).
   k->sys_container_unref(self, ContainerEntry{k->root_container(), session.value()});
   return result;

@@ -86,8 +86,9 @@ class AuthSystem {
   Result<UnixUser> AddUser(const std::string& name, const std::string& password);
 
   // The full Figure 9 sequence, run on the calling thread. On success the
-  // thread's label gains ur⋆/uw⋆. At most one bit about the password ever
-  // reaches the user's code.
+  // thread's label gains ur⋆/uw⋆ and its clearance ur3/uw3; authenticated or
+  // denied, nothing else is left of the categories the protocol mints (pir,
+  // sw, x). At most one bit about the password ever reaches the user's code.
   Result<LoginResult> Login(ObjectId self, const std::string& username,
                             const std::string& password);
 

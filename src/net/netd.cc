@@ -154,9 +154,9 @@ void NetdCtlEntry(GateCall& call) {
     }
     d = it->second;
   }
-  uint64_t req[4] = {};
+  uint64_t req[3] = {};
   call.kernel->sys_self_local_read(call.thread, req, 0, sizeof(req));
-  uint64_t resp = d->CtlOp(call.thread, req[0], req[1], req[2], req[3]);
+  uint64_t resp = d->CtlOp(call.thread, req[0], req[1], req[2]);
   call.kernel->sys_self_local_write(call.thread, &resp, 32, 8);
 }
 
@@ -274,7 +274,7 @@ Result<uint64_t> NetDaemon::MakeSocketWithSegment(ObjectId self) {
   return id;
 }
 
-uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, uint64_t c) {
+uint64_t NetDaemon::CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b) {
   MutexLock lock(&mu_);
   switch (op) {
     case kOpListen: {  // (port)
@@ -375,8 +375,8 @@ namespace {
 // Invokes the daemon's control gate with one request, taking the gate's
 // privilege grant and restoring the caller's label afterwards.
 Result<uint64_t> CtlCall(Kernel* k, ObjectId self, ContainerEntry gate, uint64_t op,
-                         uint64_t a, uint64_t b, uint64_t c) {
-  uint64_t req[4] = {op, a, b, c};
+                         uint64_t a, uint64_t b) {
+  uint64_t req[3] = {op, a, b};
   Status st = k->sys_self_local_write(self, req, 0, sizeof(req));
   if (st != Status::kOk) {
     return st;
@@ -409,29 +409,29 @@ Result<uint64_t> CtlCall(Kernel* k, ObjectId self, ContainerEntry gate, uint64_t
 }  // namespace
 
 Result<uint64_t> NetDaemon::Listen(ObjectId self, uint16_t port) {
-  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpListen, port, 0, 0);
+  return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpListen, port, 0);
 }
 
 Result<uint64_t> NetDaemon::Accept(ObjectId self, uint64_t listen_sock, uint32_t timeout_ms) {
   return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpAccept, listen_sock,
-                 timeout_ms, 0);
+                 timeout_ms);
 }
 
 Result<uint64_t> NetDaemon::Connect(ObjectId self, MacAddr dst, uint16_t port) {
   return CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpConnect,
-                 PackMac(dst), port, 0);
+                 PackMac(dst), port);
 }
 
 Status NetDaemon::CloseSocket(ObjectId self, uint64_t sock) {
   Result<uint64_t> r =
-      CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpClose, sock, 0, 0);
+      CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpClose, sock, 0);
   return r.ok() ? Status::kOk : r.status();
 }
 
 void NetDaemon::Flush(ObjectId self, uint64_t sock) {
   // A failed crossing leaves the bytes where they are; the pump's fallback
   // sweep still moves them.
-  (void)CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpFlush, sock, 0, 0);
+  (void)CtlCall(kernel_, self, ContainerEntry{ids_.proc_ct, ctl_gate_}, kOpFlush, sock, 0);
 }
 
 Result<ContainerEntry> NetDaemon::SocketSegment(uint64_t sock) {

@@ -113,7 +113,7 @@ class NetDaemon {
 
   // Gate entry bodies (execute with netd privilege on the caller's thread).
   friend void NetdCtlEntry(GateCall& call);
-  uint64_t CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b, uint64_t c);
+  uint64_t CtlOp(ObjectId self, uint64_t op, uint64_t a, uint64_t b);
   // Crosses the ctl gate with the "flush socket" op.
   void Flush(ObjectId self, uint64_t sock);
 

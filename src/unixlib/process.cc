@@ -73,6 +73,31 @@ int ProcessContext::PollSignals() {
   return handled;
 }
 
+Status ReleaseCategories(Kernel* kernel, ObjectId self,
+                         std::initializer_list<CategoryId> cats) {
+  SyscallReq get[2] = {SyscallReq{SelfGetLabelReq{}}, SyscallReq{SelfGetClearanceReq{}}};
+  SyscallRes got[2];
+  kernel->SubmitBatch(self, get, got);
+  SelfGetLabelRes& mine = std::get<SelfGetLabelRes>(got[0]);
+  SelfGetClearanceRes& clear = std::get<SelfGetClearanceRes>(got[1]);
+  if (mine.status != Status::kOk || clear.status != Status::kOk) {
+    return mine.status != Status::kOk ? mine.status : clear.status;
+  }
+  for (CategoryId c : cats) {
+    if (c != kInvalidCategory) {
+      mine.label.set(c, mine.label.default_level());
+      clear.clearance.set(c, clear.clearance.default_level());
+    }
+  }
+  // Label first: the lowered clearance must still dominate it.
+  SyscallReq set[2] = {SyscallReq{SelfSetLabelReq{std::move(mine.label)}},
+                       SyscallReq{SelfSetClearanceReq{std::move(clear.clearance)}}};
+  SyscallRes res[2];
+  kernel->SubmitBatch(self, set, res);
+  Status st = std::get<SelfSetLabelRes>(res[0]).status;
+  return st != Status::kOk ? st : std::get<SelfSetClearanceRes>(res[1]).status;
+}
+
 // ---- FdTable -------------------------------------------------------------------
 
 Result<int> FdTable::Alloc(ObjectId self, const FdSegState& init) {
@@ -639,17 +664,27 @@ Result<ObjectId> ProcessManager::InstallBinary(ObjectId self, FileSystem* fs, Ob
 Result<ProcessIds> ProcessManager::CreateProcessObjects(ObjectId creator,
                                                         const std::string& name,
                                                         const ProcessOpts& opts) {
-  Kernel* k = env_.kernel;
   ProcessIds ids;
+  Status st = BuildProcessObjects(creator, name, opts, &ids);
+  if (st != Status::kOk) {
+    return st;
+  }
+  return ids;
+}
+
+Status ProcessManager::BuildProcessObjects(ObjectId creator, const std::string& name,
+                                           const ProcessOpts& opts, ProcessIds* out) {
+  Kernel* k = env_.kernel;
+  ProcessIds& ids = *out;
   // Two fresh categories protect the process's secrecy (pr) and integrity
   // (pw); the creator owns them and passes ownership to the child thread.
   Result<CategoryId> pr = k->sys_cat_create(creator);
   Result<CategoryId> pw = k->sys_cat_create(creator);
+  ids.pr = pr.ok() ? pr.value() : kInvalidCategory;
+  ids.pw = pw.ok() ? pw.value() : kInvalidCategory;
   if (!pr.ok() || !pw.ok()) {
     return Status::kLabelCheckFailed;
   }
-  ids.pr = pr.value();
-  ids.pw = pw.value();
 
   // Taint propagates: a tainted creator can only spawn children at least as
   // tainted (the kernel's spawn rule enforces it; the library cooperates by
@@ -832,7 +867,7 @@ Result<ProcessIds> ProcessManager::CreateProcessObjects(ObjectId creator,
     }
     ids.exit_gate = xgate.value();
   }
-  return ids;
+  return Status::kOk;
 }
 
 ProcessContext ProcessManager::MakeContext(const ProcessIds& ids,
@@ -886,40 +921,18 @@ void ProcessManager::Exit(ProcessContext& ctx, int64_t status) {
   k->sys_self_halt(ctx.self);
 }
 
-Result<std::unique_ptr<ProcHandle>> ProcessManager::Launch(ProcessContext& parent,
-                                                           ProgramFn fn,
-                                                           const std::vector<std::string>& args,
-                                                           const ProcessOpts& opts,
-                                                           bool copy_parent_image) {
+Status ProcessManager::PlumbChild(ProcessContext& parent, ProcessContext* ctx,
+                                  const ProcessOpts& opts, bool copy_parent_image) {
   Kernel* k = env_.kernel;
-  std::string name = args.empty() ? "proc" : args[0];
-  ProcessOpts effective = opts;
-  if (effective.proc_parent == kInvalidObject) {
-    effective.proc_parent = parent.child_proc_parent;  // may still be invalid
-  }
-  Result<ProcessIds> ids = CreateProcessObjects(parent.self, name, effective);
-  if (!ids.ok()) {
-    return ids.status();
-  }
-  Label fd_label = MergeEntries(Label(), opts.taint);
-
-  auto ctx = std::make_unique<ProcessContext>(MakeContext(ids.value(), args));
-  ctx->fds = std::make_unique<FdTable>(k, ids.value(), fd_label);
-  ctx->fs = parent.fs;  // copies the mount table (Plan 9 style, §5.1)
-  ctx->cwd = parent.cwd;
-  ctx->child_proc_parent = effective.proc_parent;
-
   if (copy_parent_image) {
     // fork(): copy the parent's writable segments into the child and share
     // every open descriptor. This is the expensive path of §7.1.
     Label child_internal = MergeEntries(
-        Label(Level::k1,
-              {{ids.value().pr, Level::k3}, {ids.value().pw, Level::k0}}),
-        opts.taint);
+        Label(Level::k1, {{ctx->ids.pr, Level::k3}, {ctx->ids.pw, Level::k0}}), opts.taint);
     for (ObjectId* seg : {&ctx->ids.heap, &ctx->ids.stack}) {
       ObjectId src = (seg == &ctx->ids.heap) ? parent.ids.heap : parent.ids.stack;
       CreateSpec cspec;
-      cspec.container = ids.value().internal_ct;
+      cspec.container = ctx->ids.internal_ct;
       cspec.label = child_internal;
       cspec.descrip = "fork-copy";
       cspec.quota = kObjectOverheadBytes + 17 * kPageSize;
@@ -929,7 +942,7 @@ Result<std::unique_ptr<ProcHandle>> ProcessManager::Launch(ProcessContext& paren
         return copy.status();
       }
       // Replace the fresh segment in the AS with the copy.
-      k->sys_container_unref(parent.self, ContainerEntry{ids.value().internal_ct, *seg});
+      k->sys_container_unref(parent.self, ContainerEntry{ctx->ids.internal_ct, *seg});
       *seg = copy.value();
     }
     std::vector<Mapping> mappings;
@@ -954,6 +967,37 @@ Result<std::unique_ptr<ProcHandle>> ProcessManager::Launch(ProcessContext& paren
     if (!adopted.ok()) {
       return adopted.status();
     }
+  }
+  return Status::kOk;
+}
+
+Result<std::unique_ptr<ProcHandle>> ProcessManager::Launch(ProcessContext& parent,
+                                                           ProgramFn fn,
+                                                           const std::vector<std::string>& args,
+                                                           const ProcessOpts& opts,
+                                                           bool copy_parent_image) {
+  Kernel* k = env_.kernel;
+  std::string name = args.empty() ? "proc" : args[0];
+  ProcessOpts effective = opts;
+  if (effective.proc_parent == kInvalidObject) {
+    effective.proc_parent = parent.child_proc_parent;  // may still be invalid
+  }
+  ProcessIds ids;
+  Status st = BuildProcessObjects(parent.self, name, effective, &ids);
+  std::unique_ptr<ProcessContext> ctx;
+  if (st == Status::kOk) {
+    ctx = std::make_unique<ProcessContext>(MakeContext(ids, args));
+    ctx->fds = std::make_unique<FdTable>(k, ids, MergeEntries(Label(), opts.taint));
+    ctx->fs = parent.fs;  // copies the mount table (Plan 9 style, §5.1)
+    ctx->cwd = parent.cwd;
+    ctx->child_proc_parent = effective.proc_parent;
+    st = PlumbChild(parent, ctx.get(), opts, copy_parent_image);
+  }
+  // Nothing left needs pr⋆/pw⋆: the child's thread and its gates own them.
+  // Hand them back, failure or not (§5.2).
+  ReleaseCategories(k, parent.self, {ids.pr, ids.pw});
+  if (st != Status::kOk) {
+    return st;
   }
 
   auto handle = std::make_unique<ProcHandle>(k, ctx->ids);

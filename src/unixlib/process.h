@@ -8,6 +8,15 @@
 // heap, stack and file-descriptor segments. All of it is built with plain
 // syscalls — no kernel privilege.
 //
+// The spawner owns pr⋆/pw⋆ only while it builds the child: minting them puts
+// them in its label (and pr3/pw3 in its clearance), and Launch hands both
+// back before it returns, on every path. Afterwards only the child's thread
+// and its signal and exit gates own them. The spawner needs no ownership to
+// Wait (the exit segment is {pw0, 1}), Kill (the signal gate grants
+// pr⋆/pw⋆) or Destroy (write access to the parent container, §3.2). A
+// thread's label is as large as what it owns, so a spawner that kept them
+// would pay for every child it ever started on each later label operation.
+//
 // Programs are C++ functions registered in a ProgramRegistry; executable
 // files contain the line "#!histar <program>" and exec() resolves them
 // through the file system, standing in for on-disk binaries.
@@ -15,6 +24,7 @@
 #define SRC_UNIXLIB_PROCESS_H_
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,6 +91,14 @@ struct ProcessOpts {
   std::vector<CategoryId> exit_untaint;
   uint64_t quota = 8 << 20;
 };
+
+// Gives back categories that `self` minted for one operation: each goes to
+// the default level of its label (dropping ⋆ is a raise, always allowed) and
+// of its clearance (a lowering, allowed once the label is back at default).
+// One batch reads the label and clearance, a second sets both. Entries equal
+// to kInvalidCategory are skipped. As with any read-then-set of a thread's
+// own label, no other host thread may run as `self` meanwhile.
+Status ReleaseCategories(Kernel* kernel, ObjectId self, std::initializer_list<CategoryId> cats);
 
 struct ProcessContext;
 using ProgramFn = std::function<int64_t(ProcessContext&)>;
@@ -249,7 +267,10 @@ class ProcessManager {
   void Exit(ProcessContext& ctx, int64_t status);
 
   // Builds the scaffolding of Figure 6 without starting a program (used by
-  // daemons that manage their own main loop, and by tests).
+  // daemons that manage their own main loop, and by tests). The creator
+  // keeps pr⋆/pw⋆ (and pr3/pw3 clearance) afterwards, so it can go on
+  // building inside the new process; it sheds them with ReleaseCategories
+  // when it is done. Spawn, SpawnPath and Fork do that themselves.
   Result<ProcessIds> CreateProcessObjects(ObjectId creator, const std::string& name,
                                           const ProcessOpts& opts);
   // Makes a ProcessContext for a thread of an already-created process.
@@ -258,10 +279,22 @@ class ProcessManager {
   const UnixEnv& env() const { return env_; }
 
  private:
+  // Builds the child (CreateProcessObjects, fork's image copy, inherited
+  // fds), hands pr/pw back, then starts `fn` on the child's thread. The
+  // spawner leaves with exactly the label and clearance it came in with,
+  // whether or not the launch succeeded.
   Result<std::unique_ptr<ProcHandle>> Launch(ProcessContext& parent, ProgramFn fn,
                                              const std::vector<std::string>& args,
                                              const ProcessOpts& opts,
                                              bool copy_parent_image);
+  // CreateProcessObjects' body. Fills `out` as it goes, so on failure the
+  // caller still learns which categories it minted.
+  Status BuildProcessObjects(ObjectId creator, const std::string& name,
+                             const ProcessOpts& opts, ProcessIds* out);
+  // Launch's steps between the build and the handback: fork's copies of the
+  // parent's heap and stack, and adopting the inherited fds.
+  Status PlumbChild(ProcessContext& parent, ProcessContext* ctx, const ProcessOpts& opts,
+                    bool copy_parent_image);
 
   UnixEnv env_;
   mutable Mutex programs_mu_;

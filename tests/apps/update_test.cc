@@ -58,7 +58,7 @@ TEST_F(UpdateTest, PrivilegedDaemonFetchesAndInstalls) {
   ObjectId mirror_client = kernel_->BootstrapThread(ml, mc, "mirror");
   std::thread server([&]() {
     CurrentThread bind(mirror_client);
-    ServeDbOnce(mirror_.get(), kernel_.get(), mirror_client, 8888, fresh_db);
+    ServeDbOnce(mirror_.get(), mirror_client, 8888, fresh_db);
   });
 
   UpdateConfig cfg;
@@ -98,7 +98,7 @@ TEST_F(UpdateTest, UnprivilegedDaemonStaysTaintedAndCannotInstall) {
   ObjectId mirror_client = kernel_->BootstrapThread(ml, mc, "mirror");
   std::thread server([&]() {
     CurrentThread bind(mirror_client);
-    ServeDbOnce(mirror_.get(), kernel_.get(), mirror_client, 8889, fresh_db);
+    ServeDbOnce(mirror_.get(), mirror_client, 8889, fresh_db);
   });
 
   UpdateConfig cfg;

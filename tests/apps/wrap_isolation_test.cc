@@ -78,6 +78,37 @@ TEST_F(WrapTest, CleanFileScansClean) {
   EXPECT_TRUE(r.value().report.infected.empty());
 }
 
+TEST_F(WrapTest, RepeatedScansLeaveLabelAndClearanceUnchanged) {
+  // wrap mints v for one scan and sheds it from label and clearance alike,
+  // on the error paths too.
+  WriteBobFile("notes.txt", "just some harmless notes");
+  ProcessContext& ctx = world_->init_context();
+  auto expect_unchanged = [&](const Label& label, const Label& clearance, const char* what) {
+    Label now = kernel_->sys_self_get_label(ctx.self).value();
+    Label now_clear = kernel_->sys_self_get_clearance(ctx.self).value();
+    EXPECT_EQ(now, label) << what << ": " << now.ToString();
+    EXPECT_EQ(now_clear, clearance) << what << ": " << now_clear.ToString();
+  };
+  Label label = kernel_->sys_self_get_label(ctx.self).value();
+  Label clearance = kernel_->sys_self_get_clearance(ctx.self).value();
+  for (int i = 0; i < 3; ++i) {
+    Result<WrapResult> r = WrapScan(ctx, {"/home/bob/notes.txt"}, BobOpts());
+    ASSERT_TRUE(r.ok()) << StatusName(r.status());
+    ASSERT_TRUE(r.value().completed);
+    expect_unchanged(label, clearance, "completed scan");
+  }
+  // A read category the caller does not own: the scanner's launch fails
+  // after v, the private /tmp and the scan area exist.
+  ObjectId other = kernel_->BootstrapThread(Label(), Label(Level::k2), "other");
+  Result<CategoryId> foreign = kernel_->sys_cat_create(other);
+  ASSERT_TRUE(foreign.ok());
+  WrapOptions opts = BobOpts();
+  opts.read_categories.push_back(foreign.value());
+  Result<WrapResult> r = WrapScan(ctx, {"/home/bob/notes.txt"}, opts);
+  EXPECT_FALSE(r.ok());
+  expect_unchanged(label, clearance, "failed scan");
+}
+
 TEST_F(WrapTest, InfectedFileIsDetected) {
   WriteBobFile("evil.bin", "prefix MALICIOUS-PAYLOAD suffix");
   Result<WrapResult> r = WrapScan(world_->init_context(), {"/home/bob/evil.bin"}, BobOpts());
@@ -312,7 +343,7 @@ TEST_F(LeakVectorTest, Vector5SignalingThirdPartyProcessesBlocked) {
   // alerting any untainted process requires writing its address space.
   std::atomic<bool> victim_ready{false};
   std::atomic<bool> victim_done{false};
-  world_->procs().RegisterProgram("portmap", [&](ProcessContext& ctx) -> int64_t {
+  world_->procs().RegisterProgram("portmap", [&](ProcessContext&) -> int64_t {
     victim_ready.store(true);
     while (!victim_done.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));

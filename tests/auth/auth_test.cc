@@ -91,6 +91,39 @@ TEST_F(AuthTest, LoginIsRepeatable) {
   EXPECT_TRUE(good.value().authenticated);
 }
 
+TEST_F(AuthTest, RepeatedLoginsLeaveLabelAndClearanceAsTheFirstDid) {
+  // Login mints pir and sw (and the setup gate x) for one run of the
+  // protocol and sheds all three from label and clearance alike. A denied
+  // login leaves both as they were; an authenticated one adds exactly
+  // ur⋆/uw⋆ and ur3/uw3, so later logins change nothing.
+  ObjectId login = MakeLoginThread();
+  CurrentThread bind(login);
+  Label label = kernel_->sys_self_get_label(login).value();
+  Label clearance = kernel_->sys_self_get_clearance(login).value();
+  for (int i = 0; i < 3; ++i) {
+    Result<LoginResult> bad = auth_->Login(login, "bob", "nope");
+    ASSERT_TRUE(bad.ok()) << StatusName(bad.status());
+    ASSERT_FALSE(bad.value().authenticated);
+    Label now = kernel_->sys_self_get_label(login).value();
+    Label now_clear = kernel_->sys_self_get_clearance(login).value();
+    EXPECT_EQ(now, label) << "denied #" << i << ": " << now.ToString();
+    EXPECT_EQ(now_clear, clearance) << "denied #" << i << ": " << now_clear.ToString();
+  }
+  label.set(bob_.ur, Level::kStar);
+  label.set(bob_.uw, Level::kStar);
+  clearance.set(bob_.ur, Level::k3);
+  clearance.set(bob_.uw, Level::k3);
+  for (int i = 0; i < 3; ++i) {
+    Result<LoginResult> good = auth_->Login(login, "bob", "hunter2");
+    ASSERT_TRUE(good.ok()) << StatusName(good.status());
+    ASSERT_TRUE(good.value().authenticated);
+    Label now = kernel_->sys_self_get_label(login).value();
+    Label now_clear = kernel_->sys_self_get_clearance(login).value();
+    EXPECT_EQ(now, label) << "authenticated #" << i << ": " << now.ToString();
+    EXPECT_EQ(now_clear, clearance) << "authenticated #" << i << ": " << now_clear.ToString();
+  }
+}
+
 TEST_F(AuthTest, BothAttemptsAndSuccessesAreLogged) {
   ObjectId login = MakeLoginThread();
   CurrentThread bind(login);

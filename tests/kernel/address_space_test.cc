@@ -81,7 +81,7 @@ TEST_F(AddressSpaceTest, PageFaultHandlerCanRepair) {
   ObjectId seg = MakeSegment(Label(), kPageSize);
   ObjectId as = AttachMapping(init_, seg, 0x10000, kMapRead);
   int faults = 0;
-  kernel_->SetPageFaultHandler(init_, [&](uint64_t va, bool write) {
+  kernel_->SetPageFaultHandler(init_, [&](uint64_t, bool write) {
     ++faults;
     if (!write) {
       return false;

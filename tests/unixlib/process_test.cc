@@ -63,7 +63,7 @@ TEST_F(ProcessTest, InternalContainerIsPrivate) {
   // Figure 6: another process cannot observe a process's internals (AS,
   // heap, stack) — they are labeled {pr3, pw0, 1}.
   std::atomic<bool> checked{false};
-  procs().RegisterProgram("sleeper", [&](ProcessContext& ctx) -> int64_t {
+  procs().RegisterProgram("sleeper", [&](ProcessContext&) -> int64_t {
     while (!checked.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -235,7 +235,7 @@ TEST_F(ProcessTest, SignalGateGuardBlocksUnauthorized) {
   Result<CategoryId> guard = kernel_->sys_cat_create(world_->init_thread());
   ASSERT_TRUE(guard.ok());
   std::atomic<bool> done{false};
-  procs().RegisterProgram("guarded", [&](ProcessContext& ctx) -> int64_t {
+  procs().RegisterProgram("guarded", [&](ProcessContext&) -> int64_t {
     while (!done.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -312,6 +312,131 @@ TEST_F(ProcessTest, SpawnIsCheaperThanForkExecInSyscalls) {
 
   EXPECT_GT(forkexec_cost, spawn_cost + 10)
       << "spawn=" << spawn_cost << " fork+exec=" << forkexec_cost;
+}
+
+// Exits 0 only if the process's thread owns its own pr and pw.
+int64_t OwnsPrPw(ProcessContext& ctx) {
+  Result<Label> l = ctx.kernel->sys_self_get_label(ctx.self);
+  return l.ok() && l.value().Owns(ctx.ids.pr) && l.value().Owns(ctx.ids.pw) ? 0 : 1;
+}
+
+// §5.2: the spawner mints pr/pw, builds the child with them, and hands them
+// to the child's thread. Afterwards only the child (thread, signal and exit
+// gates) owns them; the spawner's label and clearance are what they were.
+class HandbackTest : public ProcessTest {
+ protected:
+  void SetUp() override {
+    ProcessTest::SetUp();
+    procs().RegisterProgram("true", [](ProcessContext&) -> int64_t { return 0; });
+    procs().RegisterProgram("owns-prpw", OwnsPrPw);
+  }
+
+  Label SpawnerLabel() { return kernel_->sys_self_get_label(init().self).value(); }
+  Label SpawnerClearance() { return kernel_->sys_self_get_clearance(init().self).value(); }
+
+  // Runs `launch` and checks the spawner comes out with the label and
+  // clearance it went in with.
+  template <typename F>
+  void ExpectUnchangedBy(const char* what, F launch) {
+    Label label = SpawnerLabel();
+    Label clearance = SpawnerClearance();
+    launch();
+    EXPECT_EQ(SpawnerLabel(), label) << what << ": " << SpawnerLabel().ToString();
+    EXPECT_EQ(SpawnerClearance(), clearance) << what << ": " << SpawnerClearance().ToString();
+  }
+};
+
+TEST_F(HandbackTest, SpawnerLabelAndClearanceAreUnchangedByEveryLaunch) {
+  ASSERT_TRUE(procs()
+                  .InstallBinary(init().self, &world_->fs(), world_->bin_dir(), "owns", "owns-prpw",
+                                 Label())
+                  .ok());
+  ExpectUnchangedBy("Spawn", [&] {
+    Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "owns-prpw", {});
+    ASSERT_TRUE(h.ok()) << StatusName(h.status());
+    // The spawner no longer owns the child's categories; the child does.
+    EXPECT_FALSE(SpawnerLabel().Owns(h.value()->ids().pr));
+    EXPECT_FALSE(SpawnerLabel().Owns(h.value()->ids().pw));
+    EXPECT_EQ(h.value()->Wait(init().self).value(), 0);
+  });
+  ExpectUnchangedBy("SpawnPath", [&] {
+    Result<std::unique_ptr<ProcHandle>> h = procs().SpawnPath(init(), "/bin/owns", {});
+    ASSERT_TRUE(h.ok()) << StatusName(h.status());
+    EXPECT_EQ(h.value()->Wait(init().self).value(), 0);
+  });
+  ExpectUnchangedBy("Fork", [&] {
+    Result<std::unique_ptr<ProcHandle>> h = procs().Fork(init(), OwnsPrPw);
+    ASSERT_TRUE(h.ok()) << StatusName(h.status());
+    EXPECT_EQ(h.value()->Wait(init().self).value(), 0);
+  });
+}
+
+TEST_F(HandbackTest, FailedLaunchStillHandsTheCategoriesBack) {
+  // Fails in Adopt, after the whole process is built.
+  ExpectUnchangedBy("invalid inherited fd", [&] {
+    ProcessOpts opts;
+    opts.inherit_fds.push_back(ContainerEntry{init().ids.proc_ct, 0x7fffffff});
+    Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "true", {}, opts);
+    EXPECT_FALSE(h.ok());
+  });
+  // Fails inside the build, right after the categories are minted.
+  ExpectUnchangedBy("missing process parent", [&] {
+    ProcessOpts opts;
+    opts.proc_parent = 0x7fffffff;
+    Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "true", {}, opts);
+    EXPECT_FALSE(h.ok());
+  });
+}
+
+TEST_F(HandbackTest, SpawnerStillWaitsKillsAndDestroysWithoutOwnership) {
+  std::atomic<int> got_signo{0};
+  std::atomic<bool> ready{false};
+  procs().RegisterProgram("until-signal", [&](ProcessContext& ctx) -> int64_t {
+    ctx.signal_handlers[15] = [&](int s) { got_signo.store(s); };
+    ready.store(true);
+    for (int i = 0; i < 2500 && got_signo.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ctx.PollSignals();
+    }
+    return got_signo.load();
+  });
+  Label label = SpawnerLabel();
+  Label clearance = SpawnerClearance();
+  Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "until-signal", {});
+  ASSERT_TRUE(h.ok()) << StatusName(h.status());
+  const ProcessIds ids = h.value()->ids();
+  EXPECT_FALSE(SpawnerLabel().Owns(ids.pr));
+  while (!ready.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Kill borrows pr⋆/pw⋆ from the signal gate for the crossing only.
+  ASSERT_EQ(h.value()->Kill(init().self, 15), Status::kOk);
+  EXPECT_EQ(SpawnerLabel(), label) << SpawnerLabel().ToString();
+  EXPECT_EQ(SpawnerClearance(), clearance) << SpawnerClearance().ToString();
+  // Wait reads the {pw0, 1} exit segment.
+  Result<int64_t> status = h.value()->Wait(init().self);
+  ASSERT_TRUE(status.ok()) << StatusName(status.status());
+  EXPECT_EQ(status.value(), 15);
+  // Destroy needs only write access to the parent container (§3.2).
+  ASSERT_TRUE(kernel_->ObjectExists(ids.proc_ct));
+  ASSERT_EQ(h.value()->Destroy(init().self), Status::kOk);
+  EXPECT_FALSE(kernel_->ObjectExists(ids.proc_ct));
+  EXPECT_FALSE(kernel_->ObjectExists(ids.thread));
+}
+
+TEST_F(HandbackTest, SpawnerLabelDoesNotGrowWithEveryChild) {
+  // A spawner that kept pr⋆/pw⋆ (and pr3/pw3) would gain two label and two
+  // clearance entries per cycle.
+  size_t label_entries = SpawnerLabel().entry_count();
+  size_t clearance_entries = SpawnerClearance().entry_count();
+  for (int i = 0; i < 200; ++i) {
+    Result<std::unique_ptr<ProcHandle>> h = procs().Spawn(init(), "true", {});
+    ASSERT_TRUE(h.ok()) << "cycle " << i << ": " << StatusName(h.status());
+    ASSERT_EQ(h.value()->Wait(init().self).value(), 0) << "cycle " << i;
+    ASSERT_EQ(h.value()->Destroy(init().self), Status::kOk) << "cycle " << i;
+  }
+  EXPECT_EQ(SpawnerLabel().entry_count(), label_entries);
+  EXPECT_EQ(SpawnerClearance().entry_count(), clearance_entries);
 }
 
 }  // namespace

@@ -18,16 +18,6 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-// True when content[pos..pos+token) matches `token` as a whole word on the
-// left (preceded by a non-identifier char). The right side is checked by
-// the caller where it matters (tokens usually end in '(' or '[').
-bool WordMatchAt(const std::string& s, size_t pos, const std::string& token) {
-  if (s.compare(pos, token.size(), token) != 0) {
-    return false;
-  }
-  return pos == 0 || !IsIdentChar(s[pos - 1]);
-}
-
 // Finds `token` as a left-word-bounded match in `line`, from `from`.
 size_t FindWord(const std::string& line, const std::string& token, size_t from = 0) {
   size_t pos = from;
@@ -102,7 +92,6 @@ struct Rule {
   bool (*exempt)(const std::string& path);
 };
 
-bool AppliesSrc(const std::string& p) { return InSrcTree(p); }
 bool ExemptNone(const std::string&) { return false; }
 bool ExemptSyncH(const std::string& p) { return EndsWith(p, "src/core/sync.h"); }
 bool ExemptObjectTable(const std::string& p) {
