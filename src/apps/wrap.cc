@@ -32,15 +32,29 @@ Result<WrapResult> ScanOwningV(ProcessContext& ctx, const std::vector<std::strin
   aspec.descrip = "scan-area";
   aspec.quota = 64 << 20;
   Result<ObjectId> area = k->sys_container_create(self, aspec, 0);
+  // Every way out from here revokes the scan's resources by severing the
+  // area and the private /tmp. This needs no cooperation from (or
+  // visibility into) the sandbox.
+  auto revoke = [&] {
+    if (area.ok()) {
+      k->sys_container_unref(self, ContainerEntry{k->root_container(), area.value()});
+    }
+    k->sys_container_unref(self, ContainerEntry{k->root_container(), priv_tmp.value()});
+  };
   if (!area.ok()) {
+    revoke();
     return area.status();
   }
 
   // 4. The result pipe, tainted v3 so the scanner can write it; wrap reads
-  // through its ownership of v.
-  FdTable pipe_fds(k, ctx.ids, vtaint);
+  // through its ownership of v. Its buffer and both fd segments live in the
+  // area, so they go with it.
+  ProcessIds pipe_ids = ctx.ids;
+  pipe_ids.proc_ct = area.value();
+  FdTable pipe_fds(k, pipe_ids, vtaint);
   Result<std::pair<int, int>> pipe = pipe_fds.CreatePipe(self);
   if (!pipe.ok()) {
+    revoke();
     return pipe.status();
   }
 
@@ -69,6 +83,7 @@ Result<WrapResult> ScanOwningV(ProcessContext& ctx, const std::vector<std::strin
   Result<std::unique_ptr<ProcHandle>> scanner = ctx.mgr->Spawn(ctx, "avscan", args, popts);
   ctx.fs.mounts().Unmount(ctx.env.fs_root, "tmp");
   if (!scanner.ok()) {
+    revoke();
     return scanner.status();
   }
 
@@ -93,16 +108,10 @@ Result<WrapResult> ScanOwningV(ProcessContext& ctx, const std::vector<std::strin
       break;
     }
   }
-  if (!result.completed) {
-    // Deadline: revoke the scanner's resources. This needs no cooperation
-    // from (or visibility into) the sandbox — wrap just severs the area.
-    result.killed = true;
-  }
+  // Past the deadline, revoking the area is what kills the scanner.
+  result.killed = !result.completed;
   scanner.value()->Wait(self, result.completed ? opts.timeout_ms : 1);
-  k->sys_container_unref(self, ContainerEntry{k->root_container(), area.value()});
-  k->sys_container_unref(self, ContainerEntry{k->root_container(), priv_tmp.value()});
-  pipe_fds.Close(self, pipe.value().first);
-  pipe_fds.Close(self, pipe.value().second);
+  revoke();
   return result;
 }
 

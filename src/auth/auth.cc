@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/core/label_memo.h"
 
 namespace histar {
 
@@ -28,15 +27,14 @@ constexpr uint64_t kNameLen = 512;  // [len][bytes] for names/passwords/log line
 constexpr uint64_t kNameBytes = 520;
 
 // Computes the natural request label for crossing `gate`: the floor
-// (L_T^J ⊔ L_G^J)^⋆ — keep your taint, take the gate's grant. Interned per
-// (thread label, gate label) pair so repeated daemon calls reuse one copy.
+// (L_T^J ⊔ L_G^J)^⋆ — keep your taint, take the gate's grant.
 Label FloorLabel(Kernel* k, ObjectId self, ContainerEntry gate) {
   Label mine = k->sys_self_get_label(self).value();
   Result<Label> gl = k->sys_obj_get_label(self, gate);
   if (!gl.ok()) {
     return mine;
   }
-  return GateFloorMemo::Global().Floor(mine, gl.value());
+  return Label::GateFloor(mine, gl.value());
 }
 
 // Writes a [len][bytes] string at `off` in the caller's local segment.

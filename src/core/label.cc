@@ -188,6 +188,34 @@ Label Label::RaiseForRead(const Label& thread_label, const Label& obj_label) {
   return thread_label.ToHi().Join(obj_label).ToStar();
 }
 
+Label Label::GateFloor(const Label& thread_label, const Label& gate_label) {
+  // Per category: max of the ⋆→J shifted levels, shifted back J→⋆ — the
+  // three-step formula, without building the two shifted labels or paying
+  // Join's per-entry insert.
+  auto floor = [](Level a, Level b) {
+    Level m = LevelMax(a == Level::kStar ? Level::kHi : a, b == Level::kStar ? Level::kHi : b);
+    return m == Level::kHi ? Level::kStar : m;
+  };
+  const std::vector<uint64_t>& te = thread_label.entries_;
+  const std::vector<uint64_t>& ge = gate_label.entries_;
+  Label out(floor(thread_label.default_level_, gate_label.default_level_));
+  out.entries_.reserve(te.size() + ge.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < te.size() || j < ge.size()) {
+    CategoryId ci = i < te.size() ? PackedCat(te[i]) : ~uint64_t{0};
+    CategoryId cj = j < ge.size() ? PackedCat(ge[j]) : ~uint64_t{0};
+    CategoryId c = ci < cj ? ci : cj;
+    Level li = ci == c ? PackedLevel(te[i++]) : thread_label.default_level_;
+    Level lj = cj == c ? PackedLevel(ge[j++]) : gate_label.default_level_;
+    Level l = floor(li, lj);
+    if (l != out.default_level_) {
+      out.entries_.push_back(Pack(c, l));
+    }
+  }
+  return out;
+}
+
 bool Label::operator==(const Label& other) const {
   return default_level_ == other.default_level_ && entries_ == other.entries_;
 }

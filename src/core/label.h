@@ -70,6 +70,11 @@ class Label {
   //   L' = (LT^J ⊔ LO)^⋆
   static Label RaiseForRead(const Label& thread_label, const Label& obj_label);
 
+  // The gate-crossing floor (L_T^J ⊔ L_G^J)^⋆ (paper §3.5): keep the
+  // thread's taint, take the gate's ownership. One merge over both entry
+  // lists: ⋆ on either side gives ⋆, otherwise the higher level wins.
+  static Label GateFloor(const Label& thread_label, const Label& gate_label);
+
   bool operator==(const Label& other) const;
   bool operator!=(const Label& other) const { return !(*this == other); }
   size_t Hash() const;

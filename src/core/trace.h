@@ -83,7 +83,7 @@ inline uint64_t RecordNowNs() { return 0; }
 enum class EventKind : uint8_t {
   kNone = 0,
   kSyscall = 1,       // a=resolved object id, b=calling kernel thread id;
-                      // aux=SyscallReq alternative index, code=Status
+                      // aux=syscall kind (SyscallKindName), code=Status
   kTableLock = 2,     // a=exclusive?1:0, b=group size
   kEpochAdvance = 3,  // a=items freed, b=global epoch after
   kEpochRetire = 4,   // a=approx limbo size after the retire
@@ -137,7 +137,7 @@ inline constexpr size_t kTraceSlots = 256;   // ThreadSlot() & (kTraceSlots-1)
 inline constexpr size_t kRingEvents = 1024;  // per slot, power of two
 inline constexpr size_t kHistBuckets = 32;   // log2 ns buckets
 // Histogram rows per slot for syscall kinds; >= kNumSyscallKinds with
-// headroom for appended ABI descriptors (static_asserted in kernel.h).
+// headroom for new kinds (static_asserted in kernel_batch.cc).
 inline constexpr size_t kMaxSyscallHist = 64;
 
 // Bucket index for a log2 ns histogram: bucket b holds [2^b, 2^(b+1)),

@@ -128,28 +128,10 @@ bool Kernel::HasGateEntry(const std::string& name) const {
   return gate_entries_.count(name) > 0;
 }
 
-uint64_t Kernel::thread_syscall_count(ObjectId t) const {
-  // A kernel thread's syscalls may have been charged from several host
-  // threads (each charging into its own slot), so sum every slot's entry.
-  uint64_t n = 0;
-  for (CountSlot& slot : count_slots_) {
-    MutexLock lock(&slot.mu);
-    auto it = slot.counts.find(t);
-    if (it != slot.counts.end()) {
-      n += it->second;
-    }
-  }
-  return n;
-}
-
 uint64_t Kernel::syscall_count() const {
-  // The former global atomic is folded into the count slots: each slot's
-  // `total` survives thread destruction (only the per-thread map entries are
-  // erased), so the sum is exactly the old monotonic counter.
   uint64_t n = 0;
-  for (CountSlot& slot : count_slots_) {
-    MutexLock lock(&slot.mu);
-    n += slot.total;
+  for (const CountSlot& slot : count_slots_) {
+    n += slot.total.load(std::memory_order_relaxed);
   }
   return n;
 }
@@ -349,14 +331,6 @@ void Kernel::DestroyObject(ObjectId id, std::vector<ObjectId>* destroyed_segment
     MutexLock pl(&pf_mu_);
     pf_handlers_.erase(id);
   }
-  // Counts are keyed by the calling thread, so only a thread has entries to
-  // drop — but it may have been charged in any host thread's slot.
-  if (o->type() == ObjectType::kThread) {
-    for (CountSlot& slot : count_slots_) {
-      MutexLock cl(&slot.mu);
-      slot.counts.erase(id);
-    }
-  }
   table_.EraseLocked(id);
 }
 
@@ -390,15 +364,12 @@ ObjectId Kernel::AllocObjectIdLocked() {
   }
 }
 
-void Kernel::CountSyscalls(ObjectId self, uint64_t n) {
-  // One slot round-trip per *batch*: an N-entry submission charges all N
-  // here, into the calling host thread's private slot — never contended
-  // below kCountSlots live threads — and no global atomic is touched
-  // (syscall_count() sums the slots).
-  CountSlot& slot = CountSlotForCurrentThread();
-  MutexLock lock(&slot.mu);
-  slot.total += n;
-  slot.counts[self] += n;
+void Kernel::CountSyscalls(uint64_t n) {
+  // One add per *batch*: an N-entry submission charges all N here, into the
+  // calling host thread's slot — never shared below kCountSlots live
+  // threads — and no kernel-wide atomic is touched.
+  count_slots_[EpochDomain::ThreadSlot() & (kCountSlots - 1)].total.fetch_add(
+      n, std::memory_order_relaxed);
 }
 
 void Kernel::DoTraceRead(ObjectId self, uint32_t max_events, TraceReadRes* out) {
@@ -496,11 +467,10 @@ void Kernel::WakeAllFutexes(const std::vector<ObjectId>& segs) {
 
 // ---- containers ---------------------------------------------------------------
 //
-// Syscall bodies below are the *Locked / Do* halves of the batched ABI
-// (kernel_batch.cc): *Locked bodies run under a TableLock the dispatcher
-// already holds; Do* bodies take their own lock exactly as the pre-batch
-// syscalls did. The public sys_* wrappers
-// (one-element batches) live in kernel_batch.cc.
+// Syscall bodies below: *Locked bodies run under a TableLock the batch
+// dispatcher already holds; Do* bodies, the calls without a descriptor,
+// take their own locks. The public sys_* wrappers live in
+// kernel_batch.cc.
 
 Result<ObjectId> Kernel::ContainerCreateLocked(ObjectId self, const CreateSpec& spec,
                                                uint32_t avoid_types) {

@@ -3,10 +3,10 @@
 //
 // Concurrency model: each syscall takes the object table's one lock
 // (src/kernel/object_table.h) once — shared for read-only paths, exclusive
-// for mutation — and auxiliary state (futex queues, dirty set, per-thread
-// counters, page-fault handlers, gate entries) lives under its own leaf
-// mutex. Warm side-effect-free reads take no lock at all (the epoch-
-// protected published index). The full lock hierarchy and per-helper
+// for mutation — and auxiliary state (futex queues, dirty set, page-fault
+// handlers, gate entries) lives under its own leaf mutex. Warm
+// side-effect-free reads take no lock at all (the epoch-protected
+// published index). The full lock hierarchy and per-helper
 // requirements are documented in ARCHITECTURE.md ("Concurrency model");
 // the per-syscall lock mode is tabulated in docs/syscalls.md.
 //
@@ -144,30 +144,25 @@ class Kernel {
   // ---- Syscall counters (the fork/exec analysis in §7.1 is stated in
   //      syscalls, so counting is first-class) --------------------------------
   //
-  // Counting is keyed by the host thread's registered epoch-layer slot
-  // (PR 6): each concurrently live host thread owns a private slot, so
-  // batch entry bookkeeping never contends on a shared mutex — the PR 3
-  // thread-id hash striping this replaces could collide two threads into
-  // one stripe. Totals are summed over all slots on read (cold paths).
+  // Every entry charges one relaxed atomic in the calling host thread's
+  // count slot (its registered epoch-layer slot), so entry
+  // bookkeeping takes no lock and shares no cache line between live host
+  // threads. The kernel-wide total is the sum over all slots (a cold read).
   uint64_t syscall_count() const;
-  uint64_t thread_syscall_count(ObjectId t) const;
 
   // ---- Batched submission (the PR 3 descriptor ABI, syscall_abi.h) ---------
   //
   // Executes `reqs` strictly in submission order and fills `res[i]` with the
   // completion of `reqs[i]` (each carries its own Status; a failing entry
-  // does not stop later entries). Consecutive entries whose execution never
-  // blocks or leaves the lock (see docs/syscalls.md "Batched submission")
-  // are grouped and run under ONE TableLock — exclusive if any entry
-  // mutates — so a run of N entries pays one lock round-trip instead of N.
-  // Entries with unlocked phases or user callbacks (futexes, gate invoke,
-  // net I/O, sync, unref, as_access) close the current group and execute
-  // exactly as their legacy syscall would. PR 6: consecutive entries whose
-  // bodies only touch atomic / snapshot object state (BatchPlan::lockfree)
-  // form their own groups and run with NO TableLock at all — an EpochGuard
-  // plus the published-index read mode replace the shared table lock.
-  // Every legacy sys_* method below is a thin one-element-batch wrapper
-  // over this entry point.
+  // does not stop later entries). Consecutive entries are grouped and run
+  // under ONE TableLock — exclusive if any entry mutates — so a run of N
+  // entries pays one lock round-trip instead of N (docs/syscalls.md
+  // "Batched submission"). Consecutive entries whose bodies only
+  // touch atomic / snapshot object state (BatchPlan::lockfree) form their
+  // own groups and run with NO TableLock at all — an EpochGuard plus the
+  // published-index read mode replace the shared table lock. Every sys_*
+  // method below that has a descriptor is a thin one-element-batch wrapper
+  // over this entry point; the 13 without one (DirectKind) are not.
   //
   // Returns kInvalidArg (touching nothing) if res.size() < reqs.size();
   // otherwise kOk — per-entry outcomes live in the completions.
@@ -381,7 +376,8 @@ class Kernel {
   //   CheckCreate / LinkInto /           table lock held exclusive
   //     UnlinkFrom / DestroyObject /
   //     InsertObject / AllocObjectIdLocked
-  //   MarkDirty / CountSyscalls          no table requirement (leaf mutexes)
+  //   MarkDirty / CountSyscalls          no table requirement (leaf mutex,
+  //                                        relaxed atomic)
   //   WakeAllFutexes                     must be called with NO table lock
   //
   // These requirements are enforced at compile time (clang -Wthread-safety)
@@ -435,37 +431,37 @@ class Kernel {
   // Stamps the creation sequence number and inserts into the object table.
   void InsertObject(std::unique_ptr<Object> obj) REQUIRES(table_.cap());
 
-  // Entry bookkeeping common to every syscall: one slot-mutex round trip
-  // (the calling host thread's private slot) charges `n` syscalls (a whole
-  // batch) to `self` and to the global total.
-  void CountSyscalls(ObjectId self, uint64_t n);
+  // Entry bookkeeping common to every syscall: one relaxed add in the
+  // calling host thread's count slot charges `n` syscalls (a whole batch).
+  void CountSyscalls(uint64_t n);
 
   // ---- Batched dispatch (kernel_batch.cc) ----------------------------------
   //
-  // Lock plan of one request: whether it can join a lock group at all,
-  // whether it mutates (exclusive mode), and whether its Locked body is
-  // safe on the lock-free published-read path (only atomic / snapshot
-  // object state, no payload bytes, no mutation).
+  // Lock plan of one request: whether it mutates (exclusive mode), and
+  // whether its Locked body is safe on the lock-free published-read path
+  // (only atomic / snapshot object state, no payload bytes, no mutation).
   struct BatchPlan {
-    bool batchable = false;
     bool mutates = false;
     bool lockfree = false;
   };
   static BatchPlan PlanOf(const SyscallReq& req);
 
-  // Executes one batchable request under the group TableLock (exclusive if
-  // the group mutates).
+  // Executes one request under the group TableLock (exclusive if the group
+  // mutates).
   void ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out)
       REQUIRES(table_.cap());
-  // Executes one non-batchable request with no lock held (the request's own
-  // implementation takes whatever locks it needs, exactly as pre-batch).
-  void ExecUnbatched(ObjectId self, const SyscallReq& req, SyscallRes* out);
+
+  // The entry path of the calls without a descriptor: charges one syscall,
+  // runs `body` (a Do* call) with no lock held, and records one trace event
+  // of `kind` carrying the status of what `body` returns.
+  template <typename Fn>
+  auto EnterDirect(ObjectId self, DirectKind kind, Fn&& body);
 
   // ---- Per-syscall bodies --------------------------------------------------
   //
   // *Locked bodies assume the group's TableLock is already held (per
-  // BatchPlan); Do* bodies are the former sys_* implementations of the
-  // non-batchable calls, minus entry bookkeeping (SubmitBatch counts).
+  // BatchPlan); Do* bodies implement the calls without a descriptor, minus
+  // entry bookkeeping (EnterDirect counts).
   // Statically: mutating bodies carry REQUIRES(table_.cap()), read-only
   // bodies REQUIRES_SHARED — the shared set is exactly BatchPlan::lockfree
   // plus the payload-touching reads.
@@ -618,29 +614,17 @@ class Kernel {
   std::unordered_map<ObjectId, std::function<bool(uint64_t, bool)>> pf_handlers_
       GUARDED_BY(pf_mu_);
 
-  // Per-thread syscall counters, one slot per registered host thread
-  // (EpochDomain::ThreadSlot, PR 6 — replacing the PR 3 thread-id hash
-  // striping, which could collide two concurrent threads into one stripe
-  // and make them share a mutex). Slot ids are dense and reused on thread
-  // exit, so below kCountSlots concurrently live threads every host
-  // thread's entry bookkeeping lands on a private, uncontended mutex; a
-  // single counts mutex would put a second kernel-wide lock round-trip on
-  // every syscall, even the lock-free reads. Each slot carries its
-  // share of the kernel-wide total: `total` outlives thread destruction
-  // (counts entries are erased with their thread), and the cold readers
-  // (syscall_count, thread_syscall_count) sum over all slots, since one
-  // kernel thread's syscalls may be charged from several host threads over
-  // its life.
+  // Syscall counters, one slot per registered host thread
+  // (EpochDomain::ThreadSlot). Slot ids are dense and reused on
+  // thread exit, so below kCountSlots concurrently live threads every host
+  // thread's entry bookkeeping is a relaxed add on a private cache line;
+  // above it, aliased slots still count exactly (the add is atomic).
+  // syscall_count() sums the slots.
   static constexpr size_t kCountSlots = 256;
-  struct CountSlot {
-    Mutex mu;
-    uint64_t total GUARDED_BY(mu) = 0;
-    std::unordered_map<ObjectId, uint64_t> counts GUARDED_BY(mu);
+  struct alignas(64) CountSlot {
+    std::atomic<uint64_t> total{0};
   };
-  CountSlot& CountSlotForCurrentThread() const {
-    return count_slots_[EpochDomain::ThreadSlot() & (kCountSlots - 1)];
-  }
-  mutable std::array<CountSlot, kCountSlots> count_slots_;
+  std::array<CountSlot, kCountSlots> count_slots_;
 
   // id → generation of its latest MarkDirty. sys_sync retires an id only if
   // its generation still matches the snapshot it serialized, so a write

@@ -1,16 +1,21 @@
-// The batched syscall dispatcher (PR 3) and the legacy one-element wrappers.
+// The batched syscall dispatcher, the one-element wrappers over it,
+// and the entry path of the calls without a descriptor.
 //
-// SubmitBatch is the single kernel entry point: it walks the request span in
-// submission order, groups consecutive *batchable* requests (those whose
-// execution neither blocks nor leaves the lock), and executes each such
-// group under ONE TableLock — the lock round-trip that used to be paid per
-// call is paid per group. Requests that cannot join a group (unlocked
-// phases, user callbacks, sleeps, post-unlock wakes: as_access,
-// container_unref, gate_invoke, futexes, net I/O, sync) close the current
-// group and run their pre-batch implementation unchanged, so the lock
-// hierarchy (ARCHITECTURE.md "Concurrency model") is untouched: one
-// TableLock at a time, futex_mu_ never nested, entry functions outside
-// every lock.
+// SubmitBatch walks the request span in submission order, groups
+// consecutive requests of the same lock-freedom, and executes each group
+// under ONE TableLock (exclusive if any member mutates) or, for a group of
+// lock-free reads, under no table lock at all — the lock round-trip that
+// used to be paid per call is paid per group. Every descriptor can join a
+// group (syscall_abi.h), so there is no other branch.
+//
+// The 13 calls that can never join a group (unlocked phases, user
+// callbacks, sleeps, post-unlock wakes: container_unref, as_access,
+// gate_invoke, futexes, net I/O, sync, trace_read) have no descriptor.
+// Their sys_* wrappers run the Do* body through EnterDirect, which charges
+// the syscall and records its trace event exactly as a one-element batch
+// would. The lock hierarchy (ARCHITECTURE.md "Concurrency model") is
+// untouched: one TableLock at a time, futex_mu_ never nested, entry
+// functions outside every lock.
 #include <type_traits>
 
 #include "src/core/trace.h"
@@ -18,21 +23,17 @@
 
 namespace histar {
 
+// Each syscall kind owns one recorder histogram row; a kind past the last
+// row would silently share it.
+static_assert(trace::kMaxSyscallHist >= kNumSyscallKinds);
+
 namespace {
 
 template <typename T, typename... Ts>
 inline constexpr bool kIsAny = (std::is_same_v<T, Ts> || ...);
 
-// Compile-time SyscallReq alternative index of T (the trace event's
-// syscall-kind field).
-template <typename T, size_t I = 0>
-constexpr size_t ReqIndexOf() {
-  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, SyscallReq>>) {
-    return I;
-  } else {
-    return ReqIndexOf<T, I + 1>();
-  }
-}
+template <typename T>
+inline constexpr bool kNoLockedBody = false;
 
 // Folds the taint scratch + completion status into one flight-recorder
 // syscall event for request k of a dispatch group (duration patched later
@@ -50,12 +51,19 @@ inline void TraceOne(const SyscallReq& req, const SyscallRes& res, ObjectId self
 #endif
 }
 
+// The Status a direct call's result carries, for its trace event.
+inline Status StatusOf(Status st) { return st; }
+template <typename T>
+Status StatusOf(const Result<T>& r) {
+  return r.status();
+}
+inline Status StatusOf(const TraceReadRes& r) { return r.status; }
+
 }  // namespace
 
 Kernel::BatchPlan Kernel::PlanOf(const SyscallReq& req) {
-  BatchPlan plan;
-  std::visit(
-      [&plan](const auto& r) {
+  return std::visit(
+      [](const auto& r) -> BatchPlan {
         using T = std::decay_t<decltype(r)>;
         if constexpr (kIsAny<T, SelfGetLabelReq, SelfGetClearanceReq, ObjGetTypeReq,
                              ObjGetLabelReq, ObjGetDescripReq, ObjGetQuotaReq,
@@ -65,31 +73,19 @@ Kernel::BatchPlan Kernel::PlanOf(const SyscallReq& req) {
           // descrip, quota, published segment length, gate closure, parent,
           // the published link snapshot): lock-free over the published
           // index.
-          plan.batchable = true;
-          plan.lockfree = true;
+          return {.lockfree = true};
         } else if constexpr (kIsAny<T, SelfGetAsReq, SelfLocalReadReq, ObjGetMetadataReq,
                                     SegmentReadReq, AsGetReq>) {
           // Reads of mutable byte/vector state (AS entry, local bytes,
           // metadata blob, segment bytes, mappings) — under the shared
           // lock, since a concurrent writer may be resizing the container.
-          plan.batchable = true;
-        } else if constexpr (kIsAny<T, CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq,
-                                    SelfHaltReq, SelfNextAlertReq, SelfLocalWriteReq,
-                                    ObjSetMetadataReq, ObjSetFixedQuotaReq,
-                                    ObjSetImmutableReq, SegmentResizeReq, SegmentWriteReq,
-                                    AsSetReq, SelfSetAsReq, ConsoleWriteReq,
-                                    ContainerLinkReq, QuotaMoveReq, ThreadAlertReq,
-                                    ThreadCreateReq, ContainerCreateReq, SegmentCreateReq,
-                                    SegmentCopyReq, AsCreateReq, GateCreateReq>) {
-          plan.batchable = true;
-          plan.mutates = true;
+          return {};
+        } else {
+          // Every other descriptor mutates: exclusive lock.
+          return {.mutates = true};
         }
-        // Anything else has an unlocked phase, a user callback, a sleep or
-        // a post-unlock wake: it runs alone through its pre-batch
-        // implementation (ExecUnbatched).
       },
       req);
-  return plan;
 }
 
 void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out) {
@@ -205,56 +201,7 @@ void Kernel::ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out) {
         } else if constexpr (std::is_same_v<T, ConsoleWriteReq>) {
           *out = ConsoleWriteRes{ConsoleWriteLocked(self, r.dev, r.text)};
         } else {
-          // PlanOf marked this request batchable but no Locked body exists —
-          // dispatcher drift. The completion stays monostate; wrappers and
-          // callers translate that to kInvalidArg (SubmitOne below).
-          *out = std::monostate{};
-        }
-      },
-      req);
-}
-
-void Kernel::ExecUnbatched(ObjectId self, const SyscallReq& req, SyscallRes* out) {
-  std::visit(
-      [&](const auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, ContainerUnrefReq>) {
-          *out = ContainerUnrefRes{DoContainerUnref(self, r.ce)};
-        } else if constexpr (std::is_same_v<T, AsAccessReq>) {
-          *out = AsAccessRes{DoAsAccess(self, r.va, r.buf, r.len, r.write)};
-        } else if constexpr (std::is_same_v<T, GateInvokeReq>) {
-          *out = GateInvokeRes{
-              DoGateInvoke(self, r.gate, r.request_label, r.request_clearance, r.verify_label)};
-        } else if constexpr (std::is_same_v<T, FutexWaitReq>) {
-          *out = FutexWaitRes{DoFutexWait(self, r.seg, r.offset, r.expected, r.timeout_ms)};
-        } else if constexpr (std::is_same_v<T, FutexWakeReq>) {
-          Result<uint32_t> v = DoFutexWake(self, r.seg, r.offset, r.max_count);
-          *out = FutexWakeRes{v.status(), v.ok() ? v.value() : 0};
-        } else if constexpr (std::is_same_v<T, NetMacAddrReq>) {
-          Result<std::array<uint8_t, 6>> v = DoNetMacAddr(self, r.dev);
-          *out = NetMacAddrRes{v.status(),
-                               v.ok() ? v.value() : std::array<uint8_t, 6>{}};
-        } else if constexpr (std::is_same_v<T, NetTransmitReq>) {
-          *out = NetTransmitRes{DoNetTransmit(self, r.dev, r.seg, r.off, r.len)};
-        } else if constexpr (std::is_same_v<T, NetReceiveReq>) {
-          Result<uint64_t> v = DoNetReceive(self, r.dev, r.seg, r.off, r.maxlen);
-          *out = NetReceiveRes{v.status(), v.ok() ? v.value() : 0};
-        } else if constexpr (std::is_same_v<T, NetWaitReq>) {
-          *out = NetWaitRes{DoNetWait(self, r.dev, r.timeout_ms)};
-        } else if constexpr (std::is_same_v<T, SyncReq>) {
-          *out = SyncRes{DoSync(self)};
-        } else if constexpr (std::is_same_v<T, SyncObjectReq>) {
-          *out = SyncObjectRes{DoSyncObject(self, r.ce)};
-        } else if constexpr (std::is_same_v<T, SyncPagesReq>) {
-          *out = SyncPagesRes{DoSyncPages(self, r.ce, r.offset, r.len)};
-        } else if constexpr (std::is_same_v<T, TraceReadReq>) {
-          // Unbatchable by design: the body takes its own shared TableLock
-          // to resolve the reader, then walks the recorder lock-free.
-          TraceReadRes v;
-          DoTraceRead(self, r.max_events, &v);
-          *out = std::move(v);
-        } else {
-          *out = std::monostate{};  // batchable kinds never reach here
+          static_assert(kNoLockedBody<T>, "every descriptor needs a *Locked body");
         }
       },
       req);
@@ -268,27 +215,17 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
   // One stripe round-trip charges the whole batch; no global atomic (each
   // entry still counts as one syscall, so fig-12-style accounting is
   // unchanged whether callers batch or not).
-  CountSyscalls(self, reqs.size());
+  CountSyscalls(reqs.size());
   size_t i = 0;
   while (i < reqs.size()) {
     BatchPlan first = PlanOf(reqs[i]);
-    if (!first.batchable) {
-      uint64_t t0 = trace::RecordNowNs();
-      uint64_t g0 = trace::BeginSyscallGroup();
-      trace::ResetTaint();
-      ExecUnbatched(self, reqs[i], &res[i]);
-      TraceOne(reqs[i], res[i], self, t0);
-      trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
-      ++i;
-      continue;
-    }
-    // Grow the group over consecutive batchable requests of the same
-    // lock-freedom, escalating to exclusive if any member mutates.
+    // Grow the group over consecutive requests of the same lock-freedom,
+    // escalating to exclusive if any member mutates.
     bool exclusive = false;
     size_t j = i;
     while (j < reqs.size()) {
       BatchPlan p = (j == i) ? first : PlanOf(reqs[j]);
-      if (!p.batchable || p.lockfree != first.lockfree) {
+      if (p.lockfree != first.lockfree) {
         break;
       }
       exclusive |= p.mutates;
@@ -339,10 +276,11 @@ Status Kernel::SubmitBatch(ObjectId self, std::span<const SyscallReq> reqs,
   return Status::kOk;
 }
 
-// ---- Legacy wrappers --------------------------------------------------------
+// ---- Batchable wrappers ------------------------------------------------------
 //
-// Every sys_* entry point is a one-element batch: source compatibility for
-// all existing callers, one code path (SubmitBatch) for all enforcement.
+// Every batchable sys_* entry point is a one-element batch: source
+// compatibility for all existing callers, one code path (SubmitBatch) for
+// all enforcement.
 
 namespace {
 
@@ -351,13 +289,7 @@ ResT SubmitOne(Kernel* k, ObjectId self, ReqT&& req) {
   SyscallReq r{std::forward<ReqT>(req)};
   SyscallRes out;
   k->SubmitBatch(self, std::span<const SyscallReq>(&r, 1), std::span<SyscallRes>(&out, 1));
-  if (ResT* res = std::get_if<ResT>(&out)) {
-    return std::move(*res);
-  }
-  // Unfilled (monostate) completion — dispatcher drift between PlanOf and
-  // ExecLocked/ExecUnbatched. Every Res type default-constructs with
-  // status == kInvalidArg, so report that instead of crashing on std::get.
-  return ResT{};
+  return std::get<ResT>(std::move(out));
 }
 
 template <typename T>
@@ -437,10 +369,6 @@ Result<ObjectId> Kernel::sys_container_create(ObjectId self, const CreateSpec& s
   ContainerCreateRes r =
       SubmitOne<ContainerCreateRes>(this, self, ContainerCreateReq{spec, avoid_types});
   return ToResult(r.status, std::move(r.id));
-}
-
-Status Kernel::sys_container_unref(ObjectId self, ContainerEntry ce) {
-  return SubmitOne<ContainerUnrefRes>(this, self, ContainerUnrefReq{ce}).status;
 }
 
 Result<ObjectId> Kernel::sys_container_get_parent(ObjectId self, ObjectId container) {
@@ -553,10 +481,6 @@ Result<std::vector<Mapping>> Kernel::sys_as_get(ObjectId self, ContainerEntry ce
   return ToResult(r.status, std::move(r.mappings));
 }
 
-Status Kernel::sys_as_access(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write) {
-  return SubmitOne<AsAccessRes>(this, self, AsAccessReq{va, buf, len, write}).status;
-}
-
 Result<ObjectId> Kernel::sys_gate_create(ObjectId self, const CreateSpec& spec,
                                          const Label& gate_label, const Label& gate_clearance,
                                          const std::string& entry_name,
@@ -566,87 +490,100 @@ Result<ObjectId> Kernel::sys_gate_create(ObjectId self, const CreateSpec& spec,
   return ToResult(r.status, std::move(r.id));
 }
 
-Status Kernel::sys_gate_invoke(ObjectId self, ContainerEntry gate, const Label& request_label,
-                               const Label& request_clearance, const Label& verify_label) {
-  // By-ref fast path (PR 5): gate_invoke is unbatchable — it can never join
-  // a lock group — and its descriptor would copy THREE caller labels into
-  // the variant per call, the heaviest wrapper cost on the hottest
-  // unbatchable entry point (every daemon RPC crosses a gate). Calling the
-  // Do* body directly is observably identical to the one-element batch
-  // (ExecUnbatched does exactly this after the copies; the access-matrix
-  // equivalence sweep in tests/kernel/syscall_abi_test.cc pins it) but
-  // skips descriptor construction entirely. Entry bookkeeping is preserved:
-  // one syscall charged, same as SubmitBatch would — and one trace event,
-  // recorded here since the fast path bypasses the dispatcher's loop.
-  CountSyscalls(self, 1);
-  uint64_t t0 = trace::RecordNowNs();
-  uint64_t g0 = trace::BeginSyscallGroup();
-  trace::ResetTaint();
-  Status st = DoGateInvoke(self, gate, request_label, request_clearance, verify_label);
-#if HISTAR_TRACE
-  trace::RecordSyscall(static_cast<uint16_t>(ReqIndexOf<GateInvokeReq>()),
-                       static_cast<int8_t>(st), self, t0);
-#endif
-  trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
-  return st;
-}
-
 Result<std::vector<uint64_t>> Kernel::sys_gate_get_closure(ObjectId self, ContainerEntry ce) {
   GateGetClosureRes r = SubmitOne<GateGetClosureRes>(this, self, GateGetClosureReq{ce});
   return ToResult(r.status, std::move(r.closure));
-}
-
-Status Kernel::sys_futex_wait(ObjectId self, ContainerEntry seg, uint64_t offset,
-                              uint64_t expected, uint32_t timeout_ms) {
-  return SubmitOne<FutexWaitRes>(this, self, FutexWaitReq{seg, offset, expected, timeout_ms})
-      .status;
-}
-
-Result<uint32_t> Kernel::sys_futex_wake(ObjectId self, ContainerEntry seg, uint64_t offset,
-                                        uint32_t max_count) {
-  FutexWakeRes r = SubmitOne<FutexWakeRes>(this, self, FutexWakeReq{seg, offset, max_count});
-  return ToResult(r.status, std::move(r.woken));
-}
-
-Result<std::array<uint8_t, 6>> Kernel::sys_net_macaddr(ObjectId self, ContainerEntry dev) {
-  NetMacAddrRes r = SubmitOne<NetMacAddrRes>(this, self, NetMacAddrReq{dev});
-  return ToResult(r.status, std::move(r.mac));
-}
-
-Status Kernel::sys_net_transmit(ObjectId self, ContainerEntry dev, ContainerEntry seg,
-                                uint64_t off, uint64_t len) {
-  return SubmitOne<NetTransmitRes>(this, self, NetTransmitReq{dev, seg, off, len}).status;
-}
-
-Result<uint64_t> Kernel::sys_net_receive(ObjectId self, ContainerEntry dev, ContainerEntry seg,
-                                         uint64_t off, uint64_t maxlen) {
-  NetReceiveRes r = SubmitOne<NetReceiveRes>(this, self, NetReceiveReq{dev, seg, off, maxlen});
-  return ToResult(r.status, std::move(r.len));
-}
-
-Status Kernel::sys_net_wait(ObjectId self, ContainerEntry dev, uint32_t timeout_ms) {
-  return SubmitOne<NetWaitRes>(this, self, NetWaitReq{dev, timeout_ms}).status;
 }
 
 Status Kernel::sys_console_write(ObjectId self, ContainerEntry dev, const std::string& text) {
   return SubmitOne<ConsoleWriteRes>(this, self, ConsoleWriteReq{dev, text}).status;
 }
 
+// ---- Entry points without a descriptor ----------------------------------------
+
+template <typename Fn>
+auto Kernel::EnterDirect(ObjectId self, DirectKind kind, Fn&& body) {
+  CountSyscalls(1);
+  uint64_t t0 = trace::RecordNowNs();
+  uint64_t g0 = trace::BeginSyscallGroup();
+  trace::ResetTaint();
+  auto out = body();
+  trace::RecordSyscall(static_cast<uint16_t>(kind), static_cast<int8_t>(StatusOf(out)), self,
+                       t0);
+  trace::FinishSyscallGroup(g0, t0, trace::RecordNowNs());
+  return out;
+}
+
+Status Kernel::sys_container_unref(ObjectId self, ContainerEntry ce) {
+  return EnterDirect(self, DirectKind::kContainerUnref,
+                     [&] { return DoContainerUnref(self, ce); });
+}
+
+Status Kernel::sys_as_access(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write) {
+  return EnterDirect(self, DirectKind::kAsAccess,
+                     [&] { return DoAsAccess(self, va, buf, len, write); });
+}
+
+Status Kernel::sys_gate_invoke(ObjectId self, ContainerEntry gate, const Label& request_label,
+                               const Label& request_clearance, const Label& verify_label) {
+  return EnterDirect(self, DirectKind::kGateInvoke, [&] {
+    return DoGateInvoke(self, gate, request_label, request_clearance, verify_label);
+  });
+}
+
+Status Kernel::sys_futex_wait(ObjectId self, ContainerEntry seg, uint64_t offset,
+                              uint64_t expected, uint32_t timeout_ms) {
+  return EnterDirect(self, DirectKind::kFutexWait,
+                     [&] { return DoFutexWait(self, seg, offset, expected, timeout_ms); });
+}
+
+Result<uint32_t> Kernel::sys_futex_wake(ObjectId self, ContainerEntry seg, uint64_t offset,
+                                        uint32_t max_count) {
+  return EnterDirect(self, DirectKind::kFutexWake,
+                     [&] { return DoFutexWake(self, seg, offset, max_count); });
+}
+
+Result<std::array<uint8_t, 6>> Kernel::sys_net_macaddr(ObjectId self, ContainerEntry dev) {
+  return EnterDirect(self, DirectKind::kNetMacAddr, [&] { return DoNetMacAddr(self, dev); });
+}
+
+Status Kernel::sys_net_transmit(ObjectId self, ContainerEntry dev, ContainerEntry seg,
+                                uint64_t off, uint64_t len) {
+  return EnterDirect(self, DirectKind::kNetTransmit,
+                     [&] { return DoNetTransmit(self, dev, seg, off, len); });
+}
+
+Result<uint64_t> Kernel::sys_net_receive(ObjectId self, ContainerEntry dev, ContainerEntry seg,
+                                         uint64_t off, uint64_t maxlen) {
+  return EnterDirect(self, DirectKind::kNetReceive,
+                     [&] { return DoNetReceive(self, dev, seg, off, maxlen); });
+}
+
+Status Kernel::sys_net_wait(ObjectId self, ContainerEntry dev, uint32_t timeout_ms) {
+  return EnterDirect(self, DirectKind::kNetWait,
+                     [&] { return DoNetWait(self, dev, timeout_ms); });
+}
+
 Status Kernel::sys_sync(ObjectId self) {
-  return SubmitOne<SyncRes>(this, self, SyncReq{}).status;
+  return EnterDirect(self, DirectKind::kSync, [&] { return DoSync(self); });
 }
 
 Status Kernel::sys_sync_object(ObjectId self, ContainerEntry ce) {
-  return SubmitOne<SyncObjectRes>(this, self, SyncObjectReq{ce}).status;
+  return EnterDirect(self, DirectKind::kSyncObject, [&] { return DoSyncObject(self, ce); });
 }
 
 Status Kernel::sys_sync_pages(ObjectId self, ContainerEntry ce, uint64_t offset,
                               uint64_t len) {
-  return SubmitOne<SyncPagesRes>(this, self, SyncPagesReq{ce, offset, len}).status;
+  return EnterDirect(self, DirectKind::kSyncPages,
+                     [&] { return DoSyncPages(self, ce, offset, len); });
 }
 
 TraceReadRes Kernel::sys_trace_read(ObjectId self, uint32_t max_events) {
-  return SubmitOne<TraceReadRes>(this, self, TraceReadReq{max_events});
+  return EnterDirect(self, DirectKind::kTraceRead, [&] {
+    TraceReadRes out;
+    DoTraceRead(self, max_events, &out);
+    return out;
+  });
 }
 
 }  // namespace histar

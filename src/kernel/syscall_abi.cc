@@ -1,5 +1,5 @@
-// Name table and completion helper for the batched syscall descriptors
-// (syscall_abi.h).
+// Name table of the syscall kinds and the completion helper for the batched
+// syscall descriptors (syscall_abi.h).
 #include "src/kernel/syscall_abi.h"
 
 #include <type_traits>
@@ -7,26 +7,27 @@
 namespace histar {
 
 namespace {
-// One entry per SyscallReq alternative, in ABI order.
+// One entry per syscall kind: the SyscallReq alternatives in ABI order,
+// then the DirectKind values in enum order.
 constexpr const char* kSyscallKindNames[] = {
     "cat_create", "self_set_label", "self_set_clearance", "self_get_label",
     "self_get_clearance", "self_set_as", "self_get_as", "self_halt",
     "thread_create", "thread_alert", "self_next_alert", "self_local_read",
-    "self_local_write", "container_create", "container_unref",
-    "container_get_parent", "container_list", "container_link",
-    "container_has", "obj_get_type", "obj_get_label", "obj_get_descrip",
-    "obj_get_quota", "obj_get_metadata", "obj_set_metadata",
-    "obj_set_fixed_quota", "obj_set_immutable", "quota_move",
-    "segment_create", "segment_copy", "segment_resize", "segment_get_len",
-    "segment_read", "segment_write", "as_create", "as_set", "as_get",
-    "as_access", "gate_create", "gate_invoke", "gate_get_closure",
-    "futex_wait", "futex_wake", "net_mac_addr", "net_transmit",
-    "net_receive", "net_wait", "console_write", "sync", "sync_object",
-    "sync_pages", "trace_read",
+    "self_local_write", "container_create", "container_get_parent",
+    "container_list", "container_link", "container_has", "obj_get_type",
+    "obj_get_label", "obj_get_descrip", "obj_get_quota", "obj_get_metadata",
+    "obj_set_metadata", "obj_set_fixed_quota", "obj_set_immutable",
+    "quota_move", "segment_create", "segment_copy", "segment_resize",
+    "segment_get_len", "segment_read", "segment_write", "as_create", "as_set",
+    "as_get", "gate_create", "gate_get_closure", "console_write",
+    // DirectKind
+    "container_unref", "as_access", "gate_invoke", "futex_wait", "futex_wake",
+    "net_mac_addr", "net_transmit", "net_receive", "net_wait", "sync",
+    "sync_object", "sync_pages", "trace_read",
 };
 static_assert(sizeof(kSyscallKindNames) / sizeof(kSyscallKindNames[0]) ==
                   kNumSyscallKinds,
-              "name every SyscallReq alternative (append here too)");
+              "name every syscall kind (append here too)");
 }  // namespace
 
 const char* SyscallKindName(size_t index) {

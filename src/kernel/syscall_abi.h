@@ -1,17 +1,22 @@
 // The batched syscall ABI (PR 3): uniform request/completion descriptors.
 //
-// Every kernel entry point has exactly one request alternative in SyscallReq
-// and one completion alternative in SyscallRes. A batch is a span of
-// requests submitted through Kernel::SubmitBatch, which fills the matching
-// span of completions: completion i always describes request i, carries its
-// own Status (partial failure is per-entry — later entries still execute),
-// and holds alternative index i+1 of SyscallRes (index 0, std::monostate,
-// means "never filled"). The descriptors carry the §3 label-rule inputs
-// explicitly — caller-supplied labels, container entries, create specs —
-// so the dispatcher can tell from the descriptor alone whether a request
-// can share a lock group; that is what lets SubmitBatch execute a run of
+// A descriptor exists if and only if a batch can group its call: every
+// kernel entry point whose body runs entirely under one table lock (or
+// under the lock-free published index) has exactly one request alternative
+// in SyscallReq and one completion alternative in SyscallRes. A batch is a
+// span of requests submitted through Kernel::SubmitBatch, which fills the
+// matching span of completions: completion i always describes request i,
+// carries its own Status (partial failure is per-entry — later entries
+// still execute), and holds alternative index i+1 of SyscallRes (index 0,
+// std::monostate, means "never filled"). The descriptors carry the §3
+// label-rule inputs explicitly — caller-supplied labels, container entries,
+// create specs — so the dispatcher can tell from the descriptor alone which
+// lock mode a request needs; that is what lets SubmitBatch execute a run of
 // requests under ONE TableLock instead of one per call (ARCHITECTURE.md
 // "The batched syscall ABI").
+//
+// The 13 calls that can never join a group (DirectKind below) have no
+// descriptor: they are plain Kernel methods with one shared entry helper.
 //
 // Buffer fields (`buf`, `data`) are caller-owned raw pointers into the
 // submitter's memory: they must stay valid until SubmitBatch returns.
@@ -19,7 +24,6 @@
 #ifndef SRC_KERNEL_SYSCALL_ABI_H_
 #define SRC_KERNEL_SYSCALL_ABI_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -41,7 +45,7 @@ struct CreateSpec {
   uint64_t quota = 16 * kPageSize;
 };
 
-// ---- Request descriptors (one per sys_* entry point) ------------------------
+// ---- Request descriptors (one per batchable sys_* entry point) --------------
 //
 // Threads (§3.1)
 struct CatCreateReq {};
@@ -83,9 +87,6 @@ struct SelfLocalWriteReq {
 struct ContainerCreateReq {
   CreateSpec spec;
   uint32_t avoid_types = 0;
-};
-struct ContainerUnrefReq {
-  ContainerEntry ce;
 };
 struct ContainerGetParentReq {
   ObjectId container = kInvalidObject;
@@ -175,12 +176,6 @@ struct AsSetReq {
 struct AsGetReq {
   ContainerEntry ce;
 };
-struct AsAccessReq {
-  uint64_t va = 0;
-  void* buf = nullptr;
-  uint64_t len = 0;
-  bool write = false;
-};
 
 // Gates (§3.5)
 struct GateCreateReq {
@@ -190,73 +185,17 @@ struct GateCreateReq {
   std::string entry_name;
   std::vector<uint64_t> closure;
 };
-struct GateInvokeReq {
-  ContainerEntry gate;
-  Label request_label;
-  Label request_clearance;
-  Label verify_label;
-};
 struct GateGetClosureReq {
   ContainerEntry ce;
 };
 
-// Futexes (§4.1)
-struct FutexWaitReq {
-  ContainerEntry seg;
-  uint64_t offset = 0;
-  uint64_t expected = 0;
-  uint32_t timeout_ms = 0;
-};
-struct FutexWakeReq {
-  ContainerEntry seg;
-  uint64_t offset = 0;
-  uint32_t max_count = 0;
-};
-
 // Devices (§4.1, §5.7)
-struct NetMacAddrReq {
-  ContainerEntry dev;
-};
-struct NetTransmitReq {
-  ContainerEntry dev;
-  ContainerEntry seg;
-  uint64_t off = 0;
-  uint64_t len = 0;
-};
-struct NetReceiveReq {
-  ContainerEntry dev;
-  ContainerEntry seg;
-  uint64_t off = 0;
-  uint64_t maxlen = 0;
-};
-struct NetWaitReq {
-  ContainerEntry dev;
-  uint32_t timeout_ms = 0;
-};
 struct ConsoleWriteReq {
   ContainerEntry dev;
   std::string text;
 };
 
-// Persistence (§3, §4)
-struct SyncReq {};
-struct SyncObjectReq {
-  ContainerEntry ce;
-};
-struct SyncPagesReq {
-  ContainerEntry ce;
-  uint64_t offset = 0;
-  uint64_t len = 0;
-};
-
-// Flight-recorder export (PR 10): returns the flow-checked view of the
-// kernel trace rings (src/core/trace.h). `self` is the reader whose raised
-// label gates per-event visibility; events that do not flow to it are
-// counted in TraceReadRes::withheld but never returned.
-struct TraceReadReq {
-  uint32_t max_events = 0;  // 0 → kTraceReadDefaultMax
-};
-
+// sys_trace_read's event caps (a max_events of 0 reads the default).
 inline constexpr uint32_t kTraceReadDefaultMax = 256;
 inline constexpr uint32_t kTraceReadMaxEvents = 16384;
 
@@ -312,9 +251,6 @@ struct SelfLocalWriteRes {
 struct ContainerCreateRes {
   Status status = Status::kInvalidArg;
   ObjectId id = kInvalidObject;
-};
-struct ContainerUnrefRes {
-  Status status = Status::kInvalidArg;
 };
 struct ContainerGetParentRes {
   Status status = Status::kInvalidArg;
@@ -395,53 +331,90 @@ struct AsGetRes {
   Status status = Status::kInvalidArg;
   std::vector<Mapping> mappings;
 };
-struct AsAccessRes {
-  Status status = Status::kInvalidArg;
-};
 struct GateCreateRes {
   Status status = Status::kInvalidArg;
   ObjectId id = kInvalidObject;
-};
-struct GateInvokeRes {
-  Status status = Status::kInvalidArg;
 };
 struct GateGetClosureRes {
   Status status = Status::kInvalidArg;
   std::vector<uint64_t> closure;
 };
-struct FutexWaitRes {
-  Status status = Status::kInvalidArg;
-};
-struct FutexWakeRes {
-  Status status = Status::kInvalidArg;
-  uint32_t woken = 0;
-};
-struct NetMacAddrRes {
-  Status status = Status::kInvalidArg;
-  std::array<uint8_t, 6> mac = {};
-};
-struct NetTransmitRes {
-  Status status = Status::kInvalidArg;
-};
-struct NetReceiveRes {
-  Status status = Status::kInvalidArg;
-  uint64_t len = 0;
-};
-struct NetWaitRes {
-  Status status = Status::kInvalidArg;
-};
 struct ConsoleWriteRes {
   Status status = Status::kInvalidArg;
 };
-struct SyncRes {
-  Status status = Status::kInvalidArg;
+
+// ---- The variants -----------------------------------------------------------
+//
+// Alternative order is the ABI: SyscallRes alternative i+1 completes
+// SyscallReq alternative i (SyscallRes index 0 is monostate, "unfilled").
+// The index is also the syscall kind the flight recorder stores; dumps and
+// tools/tracefmt carry kinds by name (SyscallKindName), not by number.
+using SyscallReq = std::variant<
+    CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq, SelfGetLabelReq, SelfGetClearanceReq,
+    SelfSetAsReq, SelfGetAsReq, SelfHaltReq, ThreadCreateReq, ThreadAlertReq, SelfNextAlertReq,
+    SelfLocalReadReq, SelfLocalWriteReq, ContainerCreateReq, ContainerGetParentReq,
+    ContainerListReq, ContainerLinkReq, ContainerHasReq, ObjGetTypeReq, ObjGetLabelReq,
+    ObjGetDescripReq, ObjGetQuotaReq, ObjGetMetadataReq, ObjSetMetadataReq, ObjSetFixedQuotaReq,
+    ObjSetImmutableReq, QuotaMoveReq, SegmentCreateReq, SegmentCopyReq, SegmentResizeReq,
+    SegmentGetLenReq, SegmentReadReq, SegmentWriteReq, AsCreateReq, AsSetReq, AsGetReq,
+    GateCreateReq, GateGetClosureReq, ConsoleWriteReq>;
+
+using SyscallRes = std::variant<
+    std::monostate, CatCreateRes, SelfSetLabelRes, SelfSetClearanceRes, SelfGetLabelRes,
+    SelfGetClearanceRes, SelfSetAsRes, SelfGetAsRes, SelfHaltRes, ThreadCreateRes,
+    ThreadAlertRes, SelfNextAlertRes, SelfLocalReadRes, SelfLocalWriteRes, ContainerCreateRes,
+    ContainerGetParentRes, ContainerListRes, ContainerLinkRes, ContainerHasRes, ObjGetTypeRes,
+    ObjGetLabelRes, ObjGetDescripRes, ObjGetQuotaRes, ObjGetMetadataRes, ObjSetMetadataRes,
+    ObjSetFixedQuotaRes, ObjSetImmutableRes, QuotaMoveRes, SegmentCreateRes, SegmentCopyRes,
+    SegmentResizeRes, SegmentGetLenRes, SegmentReadRes, SegmentWriteRes, AsCreateRes, AsSetRes,
+    AsGetRes, GateCreateRes, GateGetClosureRes, ConsoleWriteRes>;
+
+inline constexpr size_t kNumDescriptorKinds = std::variant_size_v<SyscallReq>;
+static_assert(std::variant_size_v<SyscallRes> == kNumDescriptorKinds + 1,
+              "every request alternative needs exactly one completion alternative");
+
+// ---- Entry points without a descriptor ---------------------------------------
+//
+// These calls can never join a lock group: each has an unlocked phase, a
+// user callback, a sleep or a post-unlock wake. They are plain Kernel
+// methods, and their syscall kinds follow the descriptor kinds.
+enum class DirectKind : uint16_t {
+  kContainerUnref = kNumDescriptorKinds,
+  kAsAccess,
+  kGateInvoke,
+  kFutexWait,
+  kFutexWake,
+  kNetMacAddr,
+  kNetTransmit,
+  kNetReceive,
+  kNetWait,
+  kSync,
+  kSyncObject,
+  kSyncPages,
+  kTraceRead,
+  kEnd,
 };
-struct SyncObjectRes {
-  Status status = Status::kInvalidArg;
-};
-struct SyncPagesRes {
-  Status status = Status::kInvalidArg;
-};
+
+inline constexpr size_t kNumSyscallKinds = static_cast<size_t>(DirectKind::kEnd);
+
+// Stable human-readable name for a syscall kind: a SyscallReq alternative
+// index or a DirectKind ("unknown" out of range). The table in
+// syscall_abi.cc is static_asserted against kNumSyscallKinds, so adding a
+// kind without naming it is a compile error. Consumers: trace dumps,
+// tools/tracefmt, perfbench, docs.
+const char* SyscallKindName(size_t index);
+
+// The Status of a completion (kInvalidArg for an unfilled monostate): every
+// completion alternative leads with one, and the dispatcher's trace hook
+// reads it generically.
+Status ResStatus(const SyscallRes& res);
+
+// ---- sys_trace_read's result ------------------------------------------------
+//
+// The flow-checked view of the kernel trace rings (src/core/trace.h). The
+// reader's raised label gates per-event visibility; events that do not
+// flow to it are counted in `withheld` but never returned.
+
 // One exported flight-recorder event (the wire form of trace::Event plus
 // its slot/seq provenance). Labels travel as raw LabelIds: the flow check
 // already ran kernel-side, so every event here is one the reader may see.
@@ -466,51 +439,6 @@ struct TraceReadRes {
   uint64_t withheld = 0;  // events whose labels do not flow to the reader
   std::vector<TraceEventWire> events;
 };
-
-// ---- The variants -----------------------------------------------------------
-//
-// Alternative order is the ABI: SyscallRes alternative i+1 completes
-// SyscallReq alternative i (SyscallRes index 0 is monostate, "unfilled").
-// The index is also the syscall kind the flight recorder stores; dumps and
-// tools/tracefmt carry kinds by name (SyscallKindName), not by number.
-using SyscallReq = std::variant<
-    CatCreateReq, SelfSetLabelReq, SelfSetClearanceReq, SelfGetLabelReq, SelfGetClearanceReq,
-    SelfSetAsReq, SelfGetAsReq, SelfHaltReq, ThreadCreateReq, ThreadAlertReq, SelfNextAlertReq,
-    SelfLocalReadReq, SelfLocalWriteReq, ContainerCreateReq, ContainerUnrefReq,
-    ContainerGetParentReq, ContainerListReq, ContainerLinkReq, ContainerHasReq, ObjGetTypeReq,
-    ObjGetLabelReq, ObjGetDescripReq, ObjGetQuotaReq, ObjGetMetadataReq, ObjSetMetadataReq,
-    ObjSetFixedQuotaReq, ObjSetImmutableReq, QuotaMoveReq, SegmentCreateReq, SegmentCopyReq,
-    SegmentResizeReq, SegmentGetLenReq, SegmentReadReq, SegmentWriteReq, AsCreateReq, AsSetReq,
-    AsGetReq, AsAccessReq, GateCreateReq, GateInvokeReq, GateGetClosureReq, FutexWaitReq,
-    FutexWakeReq, NetMacAddrReq, NetTransmitReq, NetReceiveReq, NetWaitReq, ConsoleWriteReq,
-    SyncReq, SyncObjectReq, SyncPagesReq, TraceReadReq>;
-
-using SyscallRes = std::variant<
-    std::monostate, CatCreateRes, SelfSetLabelRes, SelfSetClearanceRes, SelfGetLabelRes,
-    SelfGetClearanceRes, SelfSetAsRes, SelfGetAsRes, SelfHaltRes, ThreadCreateRes,
-    ThreadAlertRes, SelfNextAlertRes, SelfLocalReadRes, SelfLocalWriteRes, ContainerCreateRes,
-    ContainerUnrefRes, ContainerGetParentRes, ContainerListRes, ContainerLinkRes,
-    ContainerHasRes, ObjGetTypeRes, ObjGetLabelRes, ObjGetDescripRes, ObjGetQuotaRes,
-    ObjGetMetadataRes, ObjSetMetadataRes, ObjSetFixedQuotaRes, ObjSetImmutableRes, QuotaMoveRes,
-    SegmentCreateRes, SegmentCopyRes, SegmentResizeRes, SegmentGetLenRes, SegmentReadRes,
-    SegmentWriteRes, AsCreateRes, AsSetRes, AsGetRes, AsAccessRes, GateCreateRes, GateInvokeRes,
-    GateGetClosureRes, FutexWaitRes, FutexWakeRes, NetMacAddrRes, NetTransmitRes, NetReceiveRes,
-    NetWaitRes, ConsoleWriteRes, SyncRes, SyncObjectRes, SyncPagesRes, TraceReadRes>;
-
-inline constexpr size_t kNumSyscallKinds = std::variant_size_v<SyscallReq>;
-static_assert(std::variant_size_v<SyscallRes> == kNumSyscallKinds + 1,
-              "every request alternative needs exactly one completion alternative");
-
-// Stable human-readable name for a SyscallReq alternative index ("unknown"
-// out of range). The table in syscall_abi.cc is static_asserted against
-// kNumSyscallKinds, so appending a descriptor without naming it is a
-// compile error. Consumers: trace dumps, tools/tracefmt, docs.
-const char* SyscallKindName(size_t index);
-
-// The Status of a completion (kInvalidArg for an unfilled monostate): every
-// completion alternative leads with one, and the dispatcher's trace hook
-// reads it generically.
-Status ResStatus(const SyscallRes& res);
 
 }  // namespace histar
 

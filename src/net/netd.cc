@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/core/label_memo.h"
 #include "src/kernel/thread_runner.h"
 #include "src/unixlib/mutex.h"
 
@@ -387,10 +386,8 @@ Result<uint64_t> CtlCall(Kernel* k, ObjectId self, ContainerEntry gate, uint64_t
   if (!mine.ok() || !myclear.ok() || !glabel.ok()) {
     return Status::kLabelCheckFailed;
   }
-  // Request exactly the floor: own taint plus the gate's ownership. The
-  // floor is interned per (caller label, gate label) pair — daemon clients
-  // cross this gate on every socket op, with the same two labels each time.
-  Label request = GateFloorMemo::Global().Floor(mine.value(), glabel.value());
+  // Request exactly the floor: own taint plus the gate's ownership.
+  Label request = Label::GateFloor(mine.value(), glabel.value());
   st = k->sys_gate_invoke(self, gate, request, myclear.value(), mine.value());
   if (st != Status::kOk) {
     return st;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/core/label_memo.h"
 #include "src/kernel/thread_runner.h"
 #include "src/unixlib/mutex.h"
 
@@ -888,15 +887,11 @@ void ProcessManager::Exit(ProcessContext& ctx, int64_t status) {
   Kernel* k = env_.kernel;
   ContainerEntry exit_ce{ctx.ids.proc_ct, ctx.ids.exit_seg};
   int64_t data[2] = {1, status};
-  // Status write + futex wake in one submission. The wake entry runs even
-  // if the write fails its label check, but it performs the same modify
-  // check itself and fails identically — no observable difference, and the
-  // happy path saves a kernel entry.
-  SyscallReq reqs[2] = {SyscallReq{SegmentWriteReq{exit_ce, data, 0, 16}},
-                        SyscallReq{FutexWakeReq{exit_ce, 0, UINT32_MAX}}};
-  SyscallRes res[2];
-  k->SubmitBatch(ctx.self, reqs, res);
-  Status st = std::get<SegmentWriteRes>(res[0]).status;
+  // Status write, then the futex wake. The wake runs even if the write
+  // fails its label check, but it performs the same modify check itself
+  // and fails identically — no observable difference.
+  Status st = k->sys_segment_write(ctx.self, exit_ce, data, 0, 16);
+  k->sys_futex_wake(ctx.self, exit_ce, 0, UINT32_MAX);
   if (st == Status::kOk) {
     // Waking the futex told the parent we are done — permitted directly
     // because the exit segment carries the process taint (the parent can
@@ -911,7 +906,7 @@ void ProcessManager::Exit(ProcessContext& ctx, int64_t status) {
     Result<Label> glabel =
         k->sys_obj_get_label(ctx.self, ContainerEntry{ctx.ids.proc_ct, ctx.ids.exit_gate});
     if (mine.ok() && clear.ok() && glabel.ok()) {
-      Label request = GateFloorMemo::Global().Floor(mine.value(), glabel.value());
+      Label request = Label::GateFloor(mine.value(), glabel.value());
       // The clearance must dominate the requested label's numeric (taint)
       // entries; Join with `request` does exactly that, since ⋆ is low.
       k->sys_gate_invoke(ctx.self, ContainerEntry{ctx.ids.proc_ct, ctx.ids.exit_gate}, request,
@@ -992,6 +987,19 @@ Result<std::unique_ptr<ProcHandle>> ProcessManager::Launch(ProcessContext& paren
     ctx->cwd = parent.cwd;
     ctx->child_proc_parent = effective.proc_parent;
     st = PlumbChild(parent, ctx.get(), opts, copy_parent_image);
+  }
+  if (st != Status::kOk && ids.proc_ct != kInvalidObject) {
+    // Undo the half-built child while pw⋆ still lets us write its
+    // containers: close the fds it adopted, so each pipe's open-end count
+    // drops back, then unlink its process container.
+    for (int fd = 0; ctx != nullptr && fd < FdTable::kMaxFd; ++fd) {
+      if (ctx->fds->Entry(fd).ok()) {
+        ctx->fds->Close(parent.self, fd);
+      }
+    }
+    ObjectId proc_parent =
+        effective.proc_parent != kInvalidObject ? effective.proc_parent : env_.proc_root;
+    k->sys_container_unref(parent.self, ContainerEntry{proc_parent, ids.proc_ct});
   }
   // Nothing left needs pr⋆/pw⋆: the child's thread and its gates own them.
   // Hand them back, failure or not (§5.2).

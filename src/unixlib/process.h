@@ -158,8 +158,9 @@ class FdTable {
   Result<ContainerEntry> Entry(int fd) const;
   int count() const;
 
- private:
   static constexpr int kMaxFd = 64;
+
+ private:
   static constexpr uint64_t kPipeBufBytes = 4096;
 
   Result<int> Alloc(ObjectId self, const FdSegState& init);

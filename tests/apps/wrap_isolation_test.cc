@@ -109,6 +109,33 @@ TEST_F(WrapTest, RepeatedScansLeaveLabelAndClearanceUnchanged) {
   expect_unchanged(label, clearance, "failed scan");
 }
 
+TEST_F(WrapTest, ScansLeaveNoContainerEntriesBehind) {
+  WriteBobFile("notes.txt", "just some harmless notes");
+  ProcessContext& ctx = world_->init_context();
+  ObjectId other = kernel_->BootstrapThread(Label(), Label(Level::k2), "other");
+  Result<CategoryId> foreign = kernel_->sys_cat_create(other);
+  ASSERT_TRUE(foreign.ok());
+  auto entries = [&](ObjectId ct) {
+    return kernel_->sys_container_list(ctx.self, ct).value().size();
+  };
+  size_t root_entries = entries(kernel_->root_container());
+  size_t proc_entries = entries(ctx.ids.proc_ct);
+
+  Result<WrapResult> done = WrapScan(ctx, {"/home/bob/notes.txt"}, BobOpts());
+  ASSERT_TRUE(done.ok()) << StatusName(done.status());
+  ASSERT_TRUE(done.value().completed);
+  EXPECT_EQ(entries(kernel_->root_container()), root_entries) << "completed scan";
+  EXPECT_EQ(entries(ctx.ids.proc_ct), proc_entries) << "completed scan";
+
+  // A read category the caller does not own: the scanner's launch fails
+  // after the private /tmp, the scan area and the pipe exist.
+  WrapOptions opts = BobOpts();
+  opts.read_categories.push_back(foreign.value());
+  EXPECT_FALSE(WrapScan(ctx, {"/home/bob/notes.txt"}, opts).ok());
+  EXPECT_EQ(entries(kernel_->root_container()), root_entries) << "failed scan";
+  EXPECT_EQ(entries(ctx.ids.proc_ct), proc_entries) << "failed scan";
+}
+
 TEST_F(WrapTest, InfectedFileIsDetected) {
   WriteBobFile("evil.bin", "prefix MALICIOUS-PAYLOAD suffix");
   Result<WrapResult> r = WrapScan(world_->init_context(), {"/home/bob/evil.bin"}, BobOpts());

@@ -190,6 +190,28 @@ TEST_P(LabelLatticeProperty, SerializationRoundTripsRandomLabels) {
   }
 }
 
+// GateFloor is the three-step (L_T^J ⊔ L_G^J)^⋆ in one merge. Every storable
+// level, ⋆ included, appears both as an entry and as the default.
+TEST_P(LabelLatticeProperty, GateFloorMatchesThreeStepFormula) {
+  std::mt19937_64 rng(GetParam());
+  std::uniform_int_distribution<int> lvl_dist(0, 4);  // ⋆..k3
+  std::uniform_int_distribution<int> count_dist(0, 6);
+  std::uniform_int_distribution<CategoryId> cat_dist(1, 12);
+  auto any_label = [&] {
+    Label l(static_cast<Level>(lvl_dist(rng)));
+    for (int n = count_dist(rng); n > 0; --n) {
+      l.set(cat_dist(rng), static_cast<Level>(lvl_dist(rng)));
+    }
+    return l;
+  };
+  for (int i = 0; i < 500; ++i) {
+    Label t = any_label();
+    Label g = any_label();
+    EXPECT_EQ(Label::GateFloor(t, g), t.ToHi().Join(g.ToHi()).ToStar())
+        << t.ToString() << " / " << g.ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LabelLatticeProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/label_memo.h"
 #include "src/kernel/kernel.h"
 
 namespace histar {
@@ -254,53 +253,6 @@ TEST(KernelRegistryBoundary, RejectedLabelsAreNotInterned) {
     EXPECT_FALSE(k.sys_segment_create(init, spec, 16).ok());
   }
   EXPECT_EQ(k.label_registry().size(), before);
-}
-
-// ---- the user-level gate-floor memo ------------------------------------------
-
-TEST(GateFloorMemo, MatchesDirectComputationAndInternsOnce) {
-  GateFloorMemo memo;
-  Label t(Level::k1, {{4, Level::k2}});
-  Label g(Level::k1, {{9, Level::kStar}});
-  EXPECT_EQ(memo.Floor(t, g), t.ToHi().Join(g.ToHi()).ToStar());
-  memo.Floor(t, g);
-  EXPECT_EQ(memo.size(), 1u);  // repeat call reused the entry, no rebuild
-  memo.Floor(g, t);
-  EXPECT_EQ(memo.size(), 2u);
-}
-
-TEST(GateFloorMemo, BoundedGrowthFlushesWhenFull) {
-  // Long-lived daemons see a fresh caller label per session; the memo must
-  // not grow without bound under that churn.
-  GateFloorMemo memo;
-  Label g(Level::k1, {{2, Level::kStar}});
-  for (size_t i = 0; i < GateFloorMemo::kMaxEntries + 10; ++i) {
-    Label t(Level::k1, {{100 + i, Level::k2}});
-    EXPECT_EQ(memo.Floor(t, g), t.ToHi().Join(g.ToHi()).ToStar());
-  }
-  EXPECT_LE(memo.size(), GateFloorMemo::kMaxEntries);
-}
-
-TEST(GateFloorMemo, ConcurrentFloorsAgree) {
-  GateFloorMemo memo;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      std::mt19937_64 rng(5);
-      for (int i = 0; i < 1000; ++i) {
-        Label a = RandomLabel(&rng);
-        Label b = RandomLabel(&rng);
-        if (memo.Floor(a, b) != a.ToHi().Join(b.ToHi()).ToStar()) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

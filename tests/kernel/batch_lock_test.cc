@@ -109,22 +109,6 @@ TEST_F(BatchLockTest, CreateBatchTakesExactlyOneLock) {
   }
 }
 
-TEST_F(BatchLockTest, UnbatchableEntrySplitsGroupsButCompletes) {
-  ObjectId seg = MakeSegment(Label(), 64);
-  ContainerEntry ce = RootEntry(seg);
-  uint64_t word = 0;
-  SyscallReq reqs[3] = {SyscallReq{SegmentWriteReq{ce, &word, 0, 8}},
-                        SyscallReq{FutexWakeReq{ce, 0, 1}},
-                        SyscallReq{SegmentReadReq{ce, &word, 0, 8}}};
-  SyscallRes res[3];
-  uint64_t n = Acquisitions([&] {
-    ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
-  });
-  // group(write) + futex-wake's own validation lock + group(read): the
-  // unbatchable middle entry costs its own one lock, no more.
-  EXPECT_EQ(n, 3u);
-}
-
 // ---- lock-free read path (PR 6) ---------------------------------------------
 //
 // The epoch-protected published index drops the warm read path's lock count
@@ -219,6 +203,17 @@ TEST_F(LockCountTest, RecursiveUnrefTakesExactlyOneLock) {
   EXPECT_FALSE(kernel_->ObjectExists(top));
   EXPECT_FALSE(kernel_->ObjectExists(mid));
   EXPECT_FALSE(kernel_->ObjectExists(seg));
+}
+
+TEST_F(LockCountTest, FutexWakeTakesExactlyOneLock) {
+  ObjectId seg = MakeSegment(Label(), 64);
+  // The wake validates the segment under its own one lock, then wakes with
+  // no table lock held.
+  uint64_t n = Acquisitions([&] {
+    Result<uint32_t> woken = kernel_->sys_futex_wake(init_, RootEntry(seg), 0, 1);
+    ASSERT_TRUE(woken.ok());
+  });
+  EXPECT_EQ(n, 1u);
 }
 
 TEST_F(LockCountTest, ThreadAlertTakesExactlyOneLock) {

@@ -1,6 +1,6 @@
 // The batched syscall ABI (PR 3), tested at the descriptor layer.
 //
-// Two properties pin the ABI:
+// Three properties pin the ABI:
 //  1. Equivalence: a one-element batch returns exactly what the legacy
 //     sys_* wrapper returns — swept across the full §2.2 access matrix, so
 //     descriptor dispatch cannot drift from the label semantics the matrix
@@ -8,10 +8,15 @@
 //  2. Completion semantics: entries execute in submission order, each
 //     completion carries its own Status, and a failing entry does not stop
 //     later entries (partial failure is per-entry).
+//  3. Entry bookkeeping: a call without a descriptor is charged and traced
+//     like a one-element batch, under its own syscall kind.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <tuple>
 
+#include "src/core/trace.h"
 #include "tests/kernel/kernel_test_util.h"
 
 namespace histar {
@@ -117,23 +122,6 @@ TEST_F(SubmitBatchTest, PartialFailureLaterEntriesStillExecute) {
   EXPECT_EQ(std::get<SegmentReadRes>(res[2]).status, Status::kOk);
 }
 
-TEST_F(SubmitBatchTest, MixedBatchableAndUnbatchableEntries) {
-  ObjectId seg = MakeSegment(Label(), 64);
-  ContainerEntry ce = RootEntry(seg);
-  uint64_t word = 0;
-  // write (batchable) → futex wake (unbatchable, flushes the group) → read
-  // (batchable again): all three complete, in order.
-  SyscallReq reqs[3] = {SyscallReq{SegmentWriteReq{ce, &word, 0, 8}},
-                        SyscallReq{FutexWakeReq{ce, 0, UINT32_MAX}},
-                        SyscallReq{SegmentReadReq{ce, &word, 0, 8}}};
-  SyscallRes res[3];
-  ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
-  EXPECT_EQ(std::get<SegmentWriteRes>(res[0]).status, Status::kOk);
-  EXPECT_EQ(std::get<FutexWakeRes>(res[1]).status, Status::kOk);
-  EXPECT_EQ(std::get<FutexWakeRes>(res[1]).woken, 0u);  // nobody waiting
-  EXPECT_EQ(std::get<SegmentReadRes>(res[2]).status, Status::kOk);
-}
-
 TEST_F(SubmitBatchTest, CreatesInOneBatchYieldDistinctObjects) {
   CreateSpec spec;
   spec.container = kernel_->root_container();
@@ -171,7 +159,6 @@ TEST_F(SubmitBatchTest, BatchEntriesCountAsIndividualSyscalls) {
   ContainerEntry ce = RootEntry(seg);
   char buf[8] = {};
   uint64_t total_before = kernel_->syscall_count();
-  uint64_t mine_before = kernel_->thread_syscall_count(init_);
   SyscallReq reqs[4];
   SyscallRes res[4];
   for (int i = 0; i < 4; ++i) {
@@ -179,7 +166,80 @@ TEST_F(SubmitBatchTest, BatchEntriesCountAsIndividualSyscalls) {
   }
   ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
   EXPECT_EQ(kernel_->syscall_count(), total_before + 4);
-  EXPECT_EQ(kernel_->thread_syscall_count(init_), mine_before + 4);
+}
+
+// ---- 3. entry points without a descriptor -----------------------------------
+//
+// Each direct call is charged and traced exactly as a one-element batch
+// would be: one syscall, and one recorder event under its own kind name.
+
+class DirectCallTest : public KernelTest {
+ protected:
+  static uint64_t KindEvents(DirectKind kind) {
+    uint64_t h[trace::kHistBuckets];
+    trace::SumSyscallHist(static_cast<uint16_t>(kind), h);
+    uint64_t n = 0;
+    for (uint64_t b : h) {
+      n += b;
+    }
+    return n;
+  }
+
+  // Runs `call` and checks that it charged one syscall and recorded one
+  // event of `kind`, whose name is `name`.
+  template <typename Fn>
+  void ExpectOneEntry(DirectKind kind, const char* name, Fn&& call) {
+    EXPECT_STREQ(SyscallKindName(static_cast<size_t>(kind)), name);
+    uint64_t syscalls = kernel_->syscall_count();
+    uint64_t events = KindEvents(kind);
+    call();
+    EXPECT_EQ(kernel_->syscall_count(), syscalls + 1) << name;
+    if (HISTAR_TRACE) {
+      EXPECT_EQ(KindEvents(kind), events + 1) << name;
+    }
+  }
+};
+
+TEST_F(DirectCallTest, EachCallChargesOneSyscallAndRecordsOneEventOfItsKind) {
+  kernel_->RegisterGateEntry("direct-noop", [](GateCall&) {});
+  CreateSpec spec;
+  spec.container = kernel_->root_container();
+  Result<ObjectId> gate =
+      kernel_->sys_gate_create(init_, spec, Label(), Label(Level::k2), "direct-noop", {});
+  ASSERT_TRUE(gate.ok());
+  ObjectId seg = MakeSegment(Label(), 64);
+
+  ExpectOneEntry(DirectKind::kGateInvoke, "gate_invoke", [&] {
+    EXPECT_EQ(kernel_->sys_gate_invoke(init_, RootEntry(gate.value()), Label(),
+                                       Label(Level::k2), Label()),
+              Status::kOk);
+  });
+  ExpectOneEntry(DirectKind::kFutexWake, "futex_wake", [&] {
+    Result<uint32_t> woken = kernel_->sys_futex_wake(init_, RootEntry(seg), 0, 1);
+    ASSERT_TRUE(woken.ok());
+    EXPECT_EQ(woken.value(), 0u);
+  });
+  ExpectOneEntry(DirectKind::kSyncObject, "sync_object",
+                 [&] { kernel_->sys_sync_object(init_, RootEntry(seg)); });
+  ExpectOneEntry(DirectKind::kTraceRead, "trace_read",
+                 [&] { EXPECT_EQ(kernel_->sys_trace_read(init_).status, Status::kOk); });
+  ExpectOneEntry(DirectKind::kContainerUnref, "container_unref", [&] {
+    EXPECT_EQ(kernel_->sys_container_unref(init_, RootEntry(seg)), Status::kOk);
+  });
+}
+
+TEST(SyscallKindNames, AllKindsHaveDistinctNames) {
+  EXPECT_EQ(kNumSyscallKinds, 52u);
+  std::set<std::string> names;
+  for (size_t k = 0; k < kNumSyscallKinds; ++k) {
+    names.insert(SyscallKindName(k));
+  }
+  EXPECT_EQ(names.size(), kNumSyscallKinds);
+  EXPECT_EQ(names.count("unknown"), 0u);
+  EXPECT_STREQ(SyscallKindName(kNumSyscallKinds), "unknown");
+  // The descriptor kinds come first, then the direct kinds.
+  EXPECT_STREQ(SyscallKindName(kNumDescriptorKinds - 1), "console_write");
+  EXPECT_STREQ(SyscallKindName(static_cast<size_t>(DirectKind::kTraceRead)), "trace_read");
 }
 
 }  // namespace

@@ -144,33 +144,21 @@ TEST_F(ThreadTest, HaltedThreadRejectsSyscalls) {
 }
 
 TEST_F(ThreadTest, SyscallCounting) {
-  uint64_t before = kernel_->thread_syscall_count(init_);
+  uint64_t before = kernel_->syscall_count();
   kernel_->sys_self_get_label(init_);
   kernel_->sys_self_get_label(init_);
   kernel_->sys_self_get_clearance(init_);
-  EXPECT_EQ(kernel_->thread_syscall_count(init_), before + 3);
-  EXPECT_GE(kernel_->syscall_count(), before + 3);
-}
-
-TEST_F(ThreadTest, DestroyedThreadSyscallCountReadsZero) {
+  EXPECT_EQ(kernel_->syscall_count(), before + 3);
+  // Charge a second kernel thread from this host thread and from another,
+  // so its calls sit in two count slots: the total keeps them after the
+  // thread is destroyed.
   ObjectId t = MakeThread(Label(), Label(Level::k2));
-  // Charge t from this host thread and from another, so its counts sit in
-  // two count slots.
+  before = kernel_->syscall_count();
   kernel_->sys_self_get_label(t);
   std::thread([&] { kernel_->sys_self_get_label(t); }).join();
-  ASSERT_EQ(kernel_->thread_syscall_count(t), 2u);
-  // Destroying a non-thread object leaves every thread's count alone.
-  ObjectId seg = MakeSegment(Label(), 8);
-  uint64_t mine = kernel_->thread_syscall_count(init_);
-  ASSERT_EQ(kernel_->sys_container_unref(init_, RootEntry(seg)), Status::kOk);
-  EXPECT_EQ(kernel_->thread_syscall_count(t), 2u);
-  EXPECT_EQ(kernel_->thread_syscall_count(init_), mine + 1);
-  // Destroying the thread drops its entry from both slots; the kernel-wide
-  // total keeps what it was charged.
-  uint64_t total = kernel_->syscall_count();
+  EXPECT_EQ(kernel_->syscall_count(), before + 2);
   ASSERT_EQ(kernel_->sys_container_unref(init_, RootEntry(t)), Status::kOk);
-  EXPECT_EQ(kernel_->thread_syscall_count(t), 0u);
-  EXPECT_EQ(kernel_->syscall_count(), total + 1);
+  EXPECT_EQ(kernel_->syscall_count(), before + 3);
 }
 
 class AlertTest : public KernelTest {

@@ -128,9 +128,9 @@ TEST_F(FsTest, DirectoryScansCostOneReadNotOnePerRecord) {
     live.erase(name);
   }
   auto syscalls = [&](auto&& op) {
-    uint64_t before = kernel_->thread_syscall_count(self_);
+    uint64_t before = kernel_->syscall_count();
     op();
-    return kernel_->thread_syscall_count(self_) - before;
+    return kernel_->syscall_count() - before;
   };
 
   Result<ObjectId> last = Status::kNotFound;

@@ -388,6 +388,26 @@ TEST_F(HandbackTest, FailedLaunchStillHandsTheCategoriesBack) {
   });
 }
 
+TEST_F(HandbackTest, FailedLaunchLeavesNothingBehind) {
+  // The child adopts the pipe's write end, then fails on an invalid entry.
+  Result<std::pair<int, int>> p = init().fds->CreatePipe(init().self);
+  ASSERT_TRUE(p.ok());
+  ObjectId proc_root = world_->env().proc_root;
+  size_t entries = kernel_->sys_container_list(init().self, proc_root).value().size();
+  ProcessOpts opts;
+  opts.inherit_fds.push_back(init().fds->Entry(p.value().second).value());
+  opts.inherit_fds.push_back(ContainerEntry{init().ids.proc_ct, 0x7fffffff});
+  EXPECT_FALSE(procs().Spawn(init(), "true", {}, opts).ok());
+  // The half-built process is unlinked...
+  EXPECT_EQ(kernel_->sys_container_list(init().self, proc_root).value().size(), entries);
+  // ...and its adopted write end is closed, so closing ours reads as EOF.
+  ASSERT_EQ(init().fds->Close(init().self, p.value().second), Status::kOk);
+  char buf[4];
+  Result<uint64_t> n = init().fds->ReadTimeout(init().self, p.value().first, buf, 4, 50);
+  ASSERT_TRUE(n.ok()) << StatusName(n.status());
+  EXPECT_EQ(n.value(), 0u);
+}
+
 TEST_F(HandbackTest, SpawnerStillWaitsKillsAndDestroysWithoutOwnership) {
   std::atomic<int> got_signo{0};
   std::atomic<bool> ready{false};
