@@ -6,6 +6,9 @@
 //
 //   * BM_ObjTableResolveContended — pure read-mostly resolve (segment
 //     reads over a pool of segments), all under the shared lock.
+//   * BM_ObjTableGetLenContended — the same stream of per-call
+//     sys_segment_get_len, one of the kinds that take no table lock at all
+//     (they read the published index).
 //   * BM_ObjTableMixedContended — same read stream with a private-segment
 //     write mixed in every 4th op; each write takes the lock exclusive and
 //     stalls every reader.
@@ -79,9 +82,10 @@ bool BuildWorld() {
 
 void TearDownWorld() { g_world.kernel.reset(); }
 
-// Pure resolve: every iteration is one sys_segment_read — ResolveEntry plus
-// a memoized label check — against a random shared segment.
-void BM_ObjTableResolveContended(::benchmark::State& state) {
+// Every iteration is one `read(kernel, self, entry)` call against a random
+// shared segment; it returns the call's Status.
+template <typename Read>
+void ContendedReads(::benchmark::State& state, Read read) {
   if (state.thread_index() == 0) {
     if (!BuildWorld()) {
       state.SkipWithError("world boot failed");
@@ -93,7 +97,6 @@ void BM_ObjTableResolveContended(::benchmark::State& state) {
   Kernel* k = nullptr;
   ObjectId self = kInvalidObject;
   uint64_t x = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(state.thread_index() + 1);
-  uint64_t buf = 0;
   for (auto _ : state) {
     if (k == nullptr) {
       k = g_world.kernel.get();
@@ -101,18 +104,43 @@ void BM_ObjTableResolveContended(::benchmark::State& state) {
     }
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     ObjectId seg = g_world.shared_segs[(x >> 16) % g_world.shared_segs.size()];
-    if (k->sys_segment_read(self, ContainerEntry{g_world.root, seg}, &buf, 0, 8) !=
-        Status::kOk) {
+    if (read(k, self, ContainerEntry{g_world.root, seg}) != Status::kOk) {
       state.SkipWithError("read failed");
       return;
     }
-    ::benchmark::DoNotOptimize(buf);
   }
   if (state.thread_index() == 0) {
     TearDownWorld();
   }
 }
+
+// Pure resolve: every iteration is one sys_segment_read — ResolveEntry plus
+// a memoized label check — under the shared table lock.
+void BM_ObjTableResolveContended(::benchmark::State& state) {
+  uint64_t buf = 0;
+  ContendedReads(state, [&buf](Kernel* k, ObjectId self, ContainerEntry ce) {
+    Status st = k->sys_segment_read(self, ce, &buf, 0, 8);
+    ::benchmark::DoNotOptimize(buf);
+    return st;
+  });
+}
 BENCHMARK(BM_ObjTableResolveContended)
+    ->ThreadRange(1, kMaxThreads)
+    ->UseRealTime()
+    ->Unit(::benchmark::kNanosecond);
+
+// Published reads: every iteration is one per-call sys_segment_get_len, the
+// same resolve and label check with no table lock (an epoch pin and the
+// published index instead). PlanOf routes 11 read kinds this way; this row
+// measures them.
+void BM_ObjTableGetLenContended(::benchmark::State& state) {
+  ContendedReads(state, [](Kernel* k, ObjectId self, ContainerEntry ce) {
+    Result<uint64_t> len = k->sys_segment_get_len(self, ce);
+    ::benchmark::DoNotOptimize(len);
+    return len.status();
+  });
+}
+BENCHMARK(BM_ObjTableGetLenContended)
     ->ThreadRange(1, kMaxThreads)
     ->UseRealTime()
     ->Unit(::benchmark::kNanosecond);

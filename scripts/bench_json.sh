@@ -4,7 +4,8 @@
 # (bench/emit_trajectory.cc does the folding; the env block records nproc +
 # git sha, and a machine-readable caveat when the host has fewer than 8
 # CPUs):
-#   * BENCH_pr6.json — the PR 6 scaling rows (labels, objtable);
+#   * BENCH_pr6.json — the scaling rows (labels; objtable resolve under the
+#     shared lock and get_len on the lock-free published index);
 #   * BENCH_pr10.json — the PR 10 tracing-overhead rows: the warm lock-free
 #     batch and the dirty-1000 checkpoint, once from the normal build and
 #     once from a -DHISTAR_TRACE=0 build (rows tagged "@notrace"), checked
@@ -41,7 +42,7 @@ MIN_TIME="${BENCH_MIN_TIME:-0.05}"
   --benchmark_format=json > "$TMP/labels.json"
 
 "$BUILD/bench_ablation_objtable" \
-  --benchmark_filter='BM_ObjTableResolveContended' \
+  --benchmark_filter='BM_ObjTableResolveContended|BM_ObjTableGetLenContended' \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json > "$TMP/objtable.json"
 

@@ -29,9 +29,8 @@
 // full happens-before chain — no suppressions needed.
 //
 // Thread records double as the per-thread slot registry: ThreadSlot()
-// returns a dense id (free-list reuse on thread exit), which the kernel
-// uses for collision-free syscall-count and fault-hint slots (replacing
-// the PR 3 thread-id hash striping).
+// returns a dense id (free-list reuse on thread exit), which indexes the
+// kernel's syscall-count slots and the flight recorder's per-thread rings.
 //
 // The domain is a leaked singleton: retired garbage may legally outlive
 // the Kernel or LabelRegistry that produced it (retired nodes are

@@ -53,6 +53,11 @@ class Result {
   T& value() { return value_; }
   T take() { return std::move(value_); }
 
+  // Equal iff both status and value are; compare a bare Status through
+  // status(), not against the Result.
+  bool operator==(const Result&) const = default;
+  bool operator==(Status) const = delete;
+
  private:
   Status status_;
   T value_{};

@@ -4,7 +4,7 @@
 // Design:
 //   * Per-thread ring buffers of fixed-size binary events, keyed by the
 //     PR 6 epoch-slot registration (EpochDomain::ThreadSlot masked to
-//     kTraceSlots, the same dense ids the kernel's count/fault stripes
+//     kTraceSlots, the same dense ids the kernel's syscall-count slots
 //     use). The hot path touches ZERO shared atomics: the writer owns its
 //     slot, so every store is a relaxed store into private cache lines and
 //     the only ordering is one release store of the slot's head index.

@@ -467,29 +467,28 @@ void Kernel::WakeAllFutexes(const std::vector<ObjectId>& segs) {
 
 // ---- containers ---------------------------------------------------------------
 //
-// Syscall bodies below: *Locked bodies run under a TableLock the batch
+// Syscall bodies below: RunLocked bodies run under a TableLock the batch
 // dispatcher already holds; Do* bodies, the calls without a descriptor,
 // take their own locks. The public sys_* wrappers live in
 // kernel_batch.cc.
 
-Result<ObjectId> Kernel::ContainerCreateLocked(ObjectId self, const CreateSpec& spec,
-                                               uint32_t avoid_types) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const ContainerCreateReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
   LabelId lid = kInvalidLabelId;
-  Result<Container*> d = CheckCreate(*t, spec.container, spec.label, ObjectType::kContainer,
-                                     spec.quota, &lid);
+  Result<Container*> d = CheckCreate(*t, r.spec.container, r.spec.label, ObjectType::kContainer,
+                                     r.spec.quota, &lid);
   if (!d.ok()) {
     return d.status();
   }
   // avoid_types restrictions are inherited by all descendants.
-  uint32_t avoid = avoid_types | d.value()->avoid_types();
+  uint32_t avoid = r.avoid_types | d.value()->avoid_types();
   auto c = std::make_unique<Container>(AllocObjectIdLocked(), lid, avoid,
-                                       spec.container);
-  c->set_quota_internal(spec.quota);
-  c->set_descrip_internal(spec.descrip);
+                                       r.spec.container);
+  c->set_quota_internal(r.spec.quota);
+  c->set_descrip_internal(r.spec.descrip);
   Container* raw = c.get();
   InsertObject(std::move(c));
   Status ls = LinkInto(d.value(), raw);
@@ -539,12 +538,12 @@ Status Kernel::DoContainerUnref(ObjectId self, ContainerEntry ce) {
   return Status::kOk;
 }
 
-Result<ObjectId> Kernel::ContainerGetParentLocked(ObjectId self, ObjectId container) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const ContainerGetParentReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Container* d = GetContainer(container);
+  Container* d = GetContainer(r.container);
   if (d == nullptr) {
     return Status::kNotFound;
   }
@@ -558,12 +557,12 @@ Result<ObjectId> Kernel::ContainerGetParentLocked(ObjectId self, ObjectId contai
   return d->parent();
 }
 
-Result<std::vector<ObjectId>> Kernel::ContainerListLocked(ObjectId self, ObjectId container) {
+Result<std::vector<ObjectId>> Kernel::RunLocked(ObjectId self, const ContainerListReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Container* d = GetContainer(container);
+  Container* d = GetContainer(r.container);
   if (d == nullptr) {
     return Status::kNotFound;
   }
@@ -576,16 +575,16 @@ Result<std::vector<ObjectId>> Kernel::ContainerListLocked(ObjectId self, ObjectI
   return snap != nullptr ? *snap : d->links();
 }
 
-Status Kernel::ContainerLinkLocked(ObjectId self, ObjectId container, ContainerEntry src) {
+Status Kernel::RunLocked(ObjectId self, const ContainerLinkReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, src);
+  Result<Object*> o = ResolveEntry(*t, r.src);
   if (!o.ok()) {
     return o.status();
   }
-  Container* d = GetContainer(container);
+  Container* d = GetContainer(r.container);
   if (d == nullptr) {
     return Status::kNotFound;
   }
@@ -608,41 +607,41 @@ Status Kernel::ContainerLinkLocked(ObjectId self, ObjectId container, ContainerE
   return LinkInto(d, o.value());
 }
 
-Result<bool> Kernel::ContainerHasLocked(ObjectId self, ObjectId container, ObjectId obj) {
+Result<bool> Kernel::RunLocked(ObjectId self, const ContainerHasReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Container* d = GetContainer(container);
+  Container* d = GetContainer(r.container);
   if (d == nullptr) {
     return Status::kNotFound;
   }
   if (!CanObserve(*t, *d)) {
     return Status::kLabelCheckFailed;
   }
-  return d->HasLink(obj);
+  return d->HasLink(r.obj);
 }
 
 // ---- generic object syscalls ---------------------------------------------------
 
-Result<ObjectType> Kernel::ObjGetTypeLocked(ObjectId self, ContainerEntry ce) {
+Result<ObjectType> Kernel::RunLocked(ObjectId self, const ObjGetTypeReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
   return o.value()->type();
 }
 
-Result<Label> Kernel::ObjGetLabelLocked(ObjectId self, ContainerEntry ce) {
+Result<Label> Kernel::RunLocked(ObjectId self, const ObjGetLabelReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -658,24 +657,24 @@ Result<Label> Kernel::ObjGetLabelLocked(ObjectId self, ContainerEntry ce) {
   return LabelOf(*o.value());
 }
 
-Result<std::string> Kernel::ObjGetDescripLocked(ObjectId self, ContainerEntry ce) {
+Result<std::string> Kernel::RunLocked(ObjectId self, const ObjGetDescripReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
   return o.value()->descrip();
 }
 
-Result<uint64_t> Kernel::ObjGetQuotaLocked(ObjectId self, ContainerEntry ce) {
+Result<uint64_t> Kernel::RunLocked(ObjectId self, const ObjGetQuotaReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -686,12 +685,12 @@ Result<uint64_t> Kernel::ObjGetQuotaLocked(ObjectId self, ContainerEntry ce) {
   return o.value()->quota();
 }
 
-Result<std::vector<uint8_t>> Kernel::ObjGetMetadataLocked(ObjectId self, ContainerEntry ce) {
+Result<std::vector<uint8_t>> Kernel::RunLocked(ObjectId self, const ObjGetMetadataReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -702,16 +701,15 @@ Result<std::vector<uint8_t>> Kernel::ObjGetMetadataLocked(ObjectId self, Contain
   return std::vector<uint8_t>(md.begin(), md.end());
 }
 
-Status Kernel::ObjSetMetadataLocked(ObjectId self, ContainerEntry ce, const void* data,
-                                    size_t len) {
+Status Kernel::RunLocked(ObjectId self, const ObjSetMetadataReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  if (len > kMetadataLen) {
+  if (r.len > kMetadataLen) {
     return Status::kRange;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -719,17 +717,17 @@ Status Kernel::ObjSetMetadataLocked(ObjectId self, ContainerEntry ce, const void
   if (ms != Status::kOk) {
     return ms;
   }
-  memcpy(o.value()->metadata_mutable().data(), data, len);
+  memcpy(o.value()->metadata_mutable().data(), r.data, r.len);
   MarkDirty(o.value()->id());
   return Status::kOk;
 }
 
-Status Kernel::ObjSetFixedQuotaLocked(ObjectId self, ContainerEntry ce) {
+Status Kernel::RunLocked(ObjectId self, const ObjSetFixedQuotaReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -742,12 +740,12 @@ Status Kernel::ObjSetFixedQuotaLocked(ObjectId self, ContainerEntry ce) {
   return Status::kOk;
 }
 
-Status Kernel::ObjSetImmutableLocked(ObjectId self, ContainerEntry ce) {
+Status Kernel::RunLocked(ObjectId self, const ObjSetImmutableReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -760,12 +758,12 @@ Status Kernel::ObjSetImmutableLocked(ObjectId self, ContainerEntry ce) {
   return Status::kOk;
 }
 
-Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int64_t n) {
+Status Kernel::RunLocked(ObjectId self, const QuotaMoveReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Container* d = GetContainer(d_id);
+  Container* d = GetContainer(r.d);
   if (d == nullptr) {
     return Status::kNotFound;
   }
@@ -774,10 +772,10 @@ Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int6
   if (ms != Status::kOk) {
     return ms;
   }
-  if (!d->HasLink(o_id)) {
+  if (!d->HasLink(r.o)) {
     return Status::kNotFound;
   }
-  Object* o = Get(o_id);
+  Object* o = Get(r.o);
   if (o == nullptr) {
     return Status::kNotFound;
   }
@@ -791,13 +789,13 @@ Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int6
   if (o->quota() == kQuotaInfinite) {
     return Status::kInvalidArg;
   }
-  if (n < 0) {
+  if (r.n < 0) {
     // Shrinking returns an error when O has fewer than |n| spare bytes, which
     // conveys information about O — hence the extra L_O ⊑ L_T^J requirement.
     if (!CanObserve(*t, *o)) {
       return Status::kLabelCheckFailed;
     }
-    uint64_t shrink = static_cast<uint64_t>(-n);
+    uint64_t shrink = static_cast<uint64_t>(-r.n);
     uint64_t spare = o->quota() - o->OwnUsage();
     if (o->type() == ObjectType::kContainer) {
       const Container* oc = static_cast<const Container*>(o);
@@ -812,7 +810,7 @@ Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int6
       d->set_usage_internal(d->usage() - shrink);
     }
   } else {
-    uint64_t grow = static_cast<uint64_t>(n);
+    uint64_t grow = static_cast<uint64_t>(r.n);
     if (ContainerFree(*d) < grow) {
       return Status::kQuotaExceeded;
     }
@@ -821,8 +819,8 @@ Status Kernel::QuotaMoveLocked(ObjectId self, ObjectId d_id, ObjectId o_id, int6
       d->set_usage_internal(d->usage() + grow);
     }
   }
-  MarkDirty(d_id);
-  MarkDirty(o_id);
+  MarkDirty(r.d);
+  MarkDirty(r.o);
   return Status::kOk;
 }
 

@@ -127,7 +127,7 @@ class Kernel {
   bool HasGateEntry(const std::string& name) const;
 
   // The registry owning every canonical label in this kernel. Exposed for
-  // the ablation bench (enable/disable, stats) and for tests.
+  // the ablation bench (memo on/off) and for tests.
   LabelRegistry& label_registry() { return registry_; }
   CategoryAllocator& category_allocator() { return cat_alloc_; }
 
@@ -446,9 +446,10 @@ class Kernel {
   };
   static BatchPlan PlanOf(const SyscallReq& req);
 
-  // Executes one request under the group TableLock (exclusive if the group
-  // mutates).
-  void ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out)
+  // Executes one request under the group's covering scope: runs its
+  // RunLocked overload, emplaces the result at the request's index + 1, and
+  // returns its Status.
+  Status ExecLocked(ObjectId self, const SyscallReq& req, SyscallRes* out)
       REQUIRES(table_.cap());
 
   // The entry path of the calls without a descriptor: charges one syscall,
@@ -459,83 +460,63 @@ class Kernel {
 
   // ---- Per-syscall bodies --------------------------------------------------
   //
-  // *Locked bodies assume the group's TableLock is already held (per
-  // BatchPlan); Do* bodies implement the calls without a descriptor, minus
-  // entry bookkeeping (EnterDirect counts).
+  // RunLocked has one overload per descriptor: it takes the request and
+  // returns the request's Completion, and assumes the group's TableLock is
+  // already held (per BatchPlan). Do* bodies implement the calls without a
+  // descriptor, minus entry bookkeeping (EnterDirect counts).
   // Statically: mutating bodies carry REQUIRES(table_.cap()), read-only
   // bodies REQUIRES_SHARED — the shared set is exactly BatchPlan::lockfree
   // plus the payload-touching reads.
-  Result<CategoryId> CatCreateLocked(ObjectId self) REQUIRES(table_.cap());
-  Status SelfSetLabelLocked(ObjectId self, const Label& l) REQUIRES(table_.cap());
-  Status SelfSetClearanceLocked(ObjectId self, const Label& c) REQUIRES(table_.cap());
-  Result<Label> SelfGetLabelLocked(ObjectId self) REQUIRES_SHARED(table_.cap());
-  Result<Label> SelfGetClearanceLocked(ObjectId self) REQUIRES_SHARED(table_.cap());
-  Status SelfSetAsLocked(ObjectId self, ContainerEntry as) REQUIRES(table_.cap());
-  Result<ContainerEntry> SelfGetAsLocked(ObjectId self) REQUIRES_SHARED(table_.cap());
-  Status SelfHaltLocked(ObjectId self) REQUIRES(table_.cap());
-  Result<ObjectId> ThreadCreateLocked(ObjectId self, const CreateSpec& spec,
-                                      const Label& new_label, const Label& new_clearance)
-      REQUIRES(table_.cap());
-  Status ThreadAlertLocked(ObjectId self, ContainerEntry thread, uint64_t code)
-      REQUIRES(table_.cap());
-  Result<uint64_t> SelfNextAlertLocked(ObjectId self) REQUIRES(table_.cap());
-  Status SelfLocalReadLocked(ObjectId self, void* buf, uint64_t off, uint64_t len)
+  Result<CategoryId> RunLocked(ObjectId self, const CatCreateReq&) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const SelfSetLabelReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const SelfSetClearanceReq& r) REQUIRES(table_.cap());
+  Result<Label> RunLocked(ObjectId self, const SelfGetLabelReq&) REQUIRES_SHARED(table_.cap());
+  Result<Label> RunLocked(ObjectId self, const SelfGetClearanceReq&)
       REQUIRES_SHARED(table_.cap());
-  Status SelfLocalWriteLocked(ObjectId self, const void* buf, uint64_t off, uint64_t len)
-      REQUIRES(table_.cap());
-  Result<ObjectId> ContainerCreateLocked(ObjectId self, const CreateSpec& spec,
-                                         uint32_t avoid_types) REQUIRES(table_.cap());
-  Result<ObjectId> ContainerGetParentLocked(ObjectId self, ObjectId container)
+  Status RunLocked(ObjectId self, const SelfSetAsReq& r) REQUIRES(table_.cap());
+  Result<ContainerEntry> RunLocked(ObjectId self, const SelfGetAsReq&)
       REQUIRES_SHARED(table_.cap());
-  Result<std::vector<ObjectId>> ContainerListLocked(ObjectId self, ObjectId container)
+  Status RunLocked(ObjectId self, const SelfHaltReq&) REQUIRES(table_.cap());
+  Result<ObjectId> RunLocked(ObjectId self, const ThreadCreateReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const ThreadAlertReq& r) REQUIRES(table_.cap());
+  Result<uint64_t> RunLocked(ObjectId self, const SelfNextAlertReq&) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const SelfLocalReadReq& r) REQUIRES_SHARED(table_.cap());
+  Status RunLocked(ObjectId self, const SelfLocalWriteReq& r) REQUIRES(table_.cap());
+  Result<ObjectId> RunLocked(ObjectId self, const ContainerCreateReq& r) REQUIRES(table_.cap());
+  Result<ObjectId> RunLocked(ObjectId self, const ContainerGetParentReq& r)
       REQUIRES_SHARED(table_.cap());
-  Status ContainerLinkLocked(ObjectId self, ObjectId container, ContainerEntry src)
-      REQUIRES(table_.cap());
-  Result<bool> ContainerHasLocked(ObjectId self, ObjectId container, ObjectId obj)
+  Result<std::vector<ObjectId>> RunLocked(ObjectId self, const ContainerListReq& r)
       REQUIRES_SHARED(table_.cap());
-  Result<ObjectType> ObjGetTypeLocked(ObjectId self, ContainerEntry ce)
+  Status RunLocked(ObjectId self, const ContainerLinkReq& r) REQUIRES(table_.cap());
+  Result<bool> RunLocked(ObjectId self, const ContainerHasReq& r) REQUIRES_SHARED(table_.cap());
+  Result<ObjectType> RunLocked(ObjectId self, const ObjGetTypeReq& r)
       REQUIRES_SHARED(table_.cap());
-  Result<Label> ObjGetLabelLocked(ObjectId self, ContainerEntry ce)
+  Result<Label> RunLocked(ObjectId self, const ObjGetLabelReq& r) REQUIRES_SHARED(table_.cap());
+  Result<std::string> RunLocked(ObjectId self, const ObjGetDescripReq& r)
       REQUIRES_SHARED(table_.cap());
-  Result<std::string> ObjGetDescripLocked(ObjectId self, ContainerEntry ce)
+  Result<uint64_t> RunLocked(ObjectId self, const ObjGetQuotaReq& r)
       REQUIRES_SHARED(table_.cap());
-  Result<uint64_t> ObjGetQuotaLocked(ObjectId self, ContainerEntry ce)
+  Result<std::vector<uint8_t>> RunLocked(ObjectId self, const ObjGetMetadataReq& r)
       REQUIRES_SHARED(table_.cap());
-  Result<std::vector<uint8_t>> ObjGetMetadataLocked(ObjectId self, ContainerEntry ce)
+  Status RunLocked(ObjectId self, const ObjSetMetadataReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const ObjSetFixedQuotaReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const ObjSetImmutableReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const QuotaMoveReq& r) REQUIRES(table_.cap());
+  Result<ObjectId> RunLocked(ObjectId self, const SegmentCreateReq& r) REQUIRES(table_.cap());
+  Result<ObjectId> RunLocked(ObjectId self, const SegmentCopyReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const SegmentResizeReq& r) REQUIRES(table_.cap());
+  Result<uint64_t> RunLocked(ObjectId self, const SegmentGetLenReq& r)
       REQUIRES_SHARED(table_.cap());
-  Status ObjSetMetadataLocked(ObjectId self, ContainerEntry ce, const void* data, size_t len)
-      REQUIRES(table_.cap());
-  Status ObjSetFixedQuotaLocked(ObjectId self, ContainerEntry ce) REQUIRES(table_.cap());
-  Status ObjSetImmutableLocked(ObjectId self, ContainerEntry ce) REQUIRES(table_.cap());
-  Status QuotaMoveLocked(ObjectId self, ObjectId d, ObjectId o, int64_t n)
-      REQUIRES(table_.cap());
-  Result<ObjectId> SegmentCreateLocked(ObjectId self, const CreateSpec& spec, uint64_t len)
-      REQUIRES(table_.cap());
-  Result<ObjectId> SegmentCopyLocked(ObjectId self, const CreateSpec& spec, ContainerEntry src)
-      REQUIRES(table_.cap());
-  Status SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t len)
-      REQUIRES(table_.cap());
-  Result<uint64_t> SegmentGetLenLocked(ObjectId self, ContainerEntry ce)
+  Status RunLocked(ObjectId self, const SegmentReadReq& r) REQUIRES_SHARED(table_.cap());
+  Status RunLocked(ObjectId self, const SegmentWriteReq& r) REQUIRES(table_.cap());
+  Result<ObjectId> RunLocked(ObjectId self, const AsCreateReq& r) REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const AsSetReq& r) REQUIRES(table_.cap());
+  Result<std::vector<Mapping>> RunLocked(ObjectId self, const AsGetReq& r)
       REQUIRES_SHARED(table_.cap());
-  Status SegmentReadLocked(ObjectId self, ContainerEntry ce, void* buf, uint64_t off,
-                           uint64_t len) REQUIRES_SHARED(table_.cap());
-  Status SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* buf, uint64_t off,
-                            uint64_t len) REQUIRES(table_.cap());
-  Result<ObjectId> AsCreateLocked(ObjectId self, const CreateSpec& spec)
-      REQUIRES(table_.cap());
-  Status AsSetLocked(ObjectId self, ContainerEntry ce, const std::vector<Mapping>& mappings)
-      REQUIRES(table_.cap());
-  Result<std::vector<Mapping>> AsGetLocked(ObjectId self, ContainerEntry ce)
+  Result<ObjectId> RunLocked(ObjectId self, const GateCreateReq& r) REQUIRES(table_.cap());
+  Result<std::vector<uint64_t>> RunLocked(ObjectId self, const GateGetClosureReq& r)
       REQUIRES_SHARED(table_.cap());
-  Result<ObjectId> GateCreateLocked(ObjectId self, const CreateSpec& spec,
-                                    const Label& gate_label, const Label& gate_clearance,
-                                    const std::string& entry_name,
-                                    const std::vector<uint64_t>& closure)
-      REQUIRES(table_.cap());
-  Result<std::vector<uint64_t>> GateGetClosureLocked(ObjectId self, ContainerEntry ce)
-      REQUIRES_SHARED(table_.cap());
-  Status ConsoleWriteLocked(ObjectId self, ContainerEntry dev, const std::string& text)
-      REQUIRES(table_.cap());
+  Status RunLocked(ObjectId self, const ConsoleWriteReq& r) REQUIRES(table_.cap());
 
   Status DoContainerUnref(ObjectId self, ContainerEntry ce);
   Status DoAsAccess(ObjectId self, uint64_t va, void* buf, uint64_t len, bool write);
@@ -683,8 +664,8 @@ class PersistTarget {
 // table's lock-free published index instead of the locked map (PR 6).
 // The caller MUST hold an EpochGuard for the marker's whole lifetime and
 // MUST NOT hold (or take) the table lock while it is active — the published
-// index is exactly the no-lock alternative, and the *Locked helper bodies
-// run unchanged on top of it for side-effect-free reads. SubmitBatch wraps
+// index is exactly the no-lock alternative, and the RunLocked bodies run
+// unchanged on top of it for side-effect-free reads. SubmitBatch wraps
 // each lock-free read group in one of these.
 class PublishedReadMode {
  public:

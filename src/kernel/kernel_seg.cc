@@ -17,25 +17,24 @@ namespace histar {
 
 // ---- segments ----------------------------------------------------------------
 
-Result<ObjectId> Kernel::SegmentCreateLocked(ObjectId self, const CreateSpec& spec,
-                                             uint64_t len) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const SegmentCreateReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
   LabelId lid = kInvalidLabelId;
-  Result<Container*> d = CheckCreate(*t, spec.container, spec.label, ObjectType::kSegment,
-                                     spec.quota, &lid);
+  Result<Container*> d = CheckCreate(*t, r.spec.container, r.spec.label, ObjectType::kSegment,
+                                     r.spec.quota, &lid);
   if (!d.ok()) {
     return d.status();
   }
-  if (!RangeOk(kObjectOverheadBytes, len, spec.quota)) {
+  if (!RangeOk(kObjectOverheadBytes, r.len, r.spec.quota)) {
     return Status::kQuotaExceeded;
   }
   auto s = std::make_unique<Segment>(AllocObjectIdLocked(), lid);
-  s->bytes().resize(len, 0);
-  s->set_quota_internal(spec.quota);
-  s->set_descrip_internal(spec.descrip);
+  s->bytes().resize(r.len, 0);
+  s->set_quota_internal(r.spec.quota);
+  s->set_descrip_internal(r.spec.descrip);
   Segment* raw = s.get();
   InsertObject(std::move(s));
   Status ls = LinkInto(d.value(), raw);
@@ -47,13 +46,12 @@ Result<ObjectId> Kernel::SegmentCreateLocked(ObjectId self, const CreateSpec& sp
   return raw->id();
 }
 
-Result<ObjectId> Kernel::SegmentCopyLocked(ObjectId self, const CreateSpec& spec,
-                                           ContainerEntry src) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const SegmentCopyReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, src);
+  Result<Object*> o = ResolveEntry(*t, r.src);
   if (!o.ok()) {
     return o.status();
   }
@@ -68,18 +66,18 @@ Result<ObjectId> Kernel::SegmentCopyLocked(ObjectId self, const CreateSpec& spec
   // ...and creates a new object at the requested label; the usual creation
   // rule keeps the copy at least as tainted as the thread that read it.
   LabelId lid = kInvalidLabelId;
-  Result<Container*> d = CheckCreate(*t, spec.container, spec.label, ObjectType::kSegment,
-                                     spec.quota, &lid);
+  Result<Container*> d = CheckCreate(*t, r.spec.container, r.spec.label, ObjectType::kSegment,
+                                     r.spec.quota, &lid);
   if (!d.ok()) {
     return d.status();
   }
-  if (!RangeOk(kObjectOverheadBytes, s->bytes().size(), spec.quota)) {
+  if (!RangeOk(kObjectOverheadBytes, s->bytes().size(), r.spec.quota)) {
     return Status::kQuotaExceeded;
   }
   auto ns = std::make_unique<Segment>(AllocObjectIdLocked(), lid);
   ns->bytes() = s->bytes();
-  ns->set_quota_internal(spec.quota);
-  ns->set_descrip_internal(spec.descrip);
+  ns->set_quota_internal(r.spec.quota);
+  ns->set_descrip_internal(r.spec.descrip);
   Segment* raw = ns.get();
   InsertObject(std::move(ns));
   Status ls = LinkInto(d.value(), raw);
@@ -91,12 +89,12 @@ Result<ObjectId> Kernel::SegmentCopyLocked(ObjectId self, const CreateSpec& spec
   return raw->id();
 }
 
-Status Kernel::SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t len) {
+Status Kernel::RunLocked(ObjectId self, const SegmentResizeReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -108,10 +106,10 @@ Status Kernel::SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t le
   if (ms != Status::kOk) {
     return ms;
   }
-  if (!RangeOk(kObjectOverheadBytes, len, s->quota())) {
+  if (!RangeOk(kObjectOverheadBytes, r.len, s->quota())) {
     return Status::kQuotaExceeded;
   }
-  s->bytes().resize(len, 0);
+  s->bytes().resize(r.len, 0);
   // Republish the length for lock-free sys_segment_get_len readers (PR 6);
   // the byte vector itself stays lock-protected.
   s->publish_len_internal();
@@ -119,12 +117,12 @@ Status Kernel::SegmentResizeLocked(ObjectId self, ContainerEntry ce, uint64_t le
   return Status::kOk;
 }
 
-Result<uint64_t> Kernel::SegmentGetLenLocked(ObjectId self, ContainerEntry ce) {
+Result<uint64_t> Kernel::RunLocked(ObjectId self, const SegmentGetLenReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -141,8 +139,7 @@ Result<uint64_t> Kernel::SegmentGetLenLocked(ObjectId self, ContainerEntry ce) {
   return static_cast<Segment*>(o.value())->published_len();
 }
 
-Status Kernel::SegmentReadLocked(ObjectId self, ContainerEntry ce, void* buf, uint64_t off,
-                                 uint64_t len) {
+Status Kernel::RunLocked(ObjectId self, const SegmentReadReq& r) {
   // The read-mostly hot path: a shared table lock, so concurrent reads of
   // different (or the same) segments proceed together
   // (bench/ablation_objtable.cc measures exactly this path). Under the
@@ -152,7 +149,7 @@ Status Kernel::SegmentReadLocked(ObjectId self, ContainerEntry ce, void* buf, ui
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -163,22 +160,21 @@ Status Kernel::SegmentReadLocked(ObjectId self, ContainerEntry ce, void* buf, ui
   if (!CanObserve(*t, *s)) {
     return Status::kLabelCheckFailed;
   }
-  if (!RangeOk(off, len, s->bytes().size())) {
+  if (!RangeOk(r.off, r.len, s->bytes().size())) {
     return Status::kRange;
   }
   // CopyBytes, not memcpy: len == 0 at off == size is a valid no-op read
   // (RangeOk admits it) and may pair with a null buf or empty segment.
-  CopyBytes(buf, s->bytes().data() + off, len);
+  CopyBytes(r.buf, s->bytes().data() + r.off, r.len);
   return Status::kOk;
 }
 
-Status Kernel::SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* buf,
-                                  uint64_t off, uint64_t len) {
+Status Kernel::RunLocked(ObjectId self, const SegmentWriteReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -190,30 +186,30 @@ Status Kernel::SegmentWriteLocked(ObjectId self, ContainerEntry ce, const void* 
   if (ms != Status::kOk) {
     return ms;
   }
-  if (!RangeOk(off, len, s->bytes().size())) {
+  if (!RangeOk(r.off, r.len, s->bytes().size())) {
     return Status::kRange;
   }
-  CopyBytes(s->bytes().data() + off, buf, len);
+  CopyBytes(s->bytes().data() + r.off, r.buf, r.len);
   MarkDirty(s->id());
   return Status::kOk;
 }
 
 // ---- address spaces -------------------------------------------------------------
 
-Result<ObjectId> Kernel::AsCreateLocked(ObjectId self, const CreateSpec& spec) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const AsCreateReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
   LabelId lid = kInvalidLabelId;
-  Result<Container*> d = CheckCreate(*t, spec.container, spec.label, ObjectType::kAddressSpace,
-                                     spec.quota, &lid);
+  Result<Container*> d = CheckCreate(*t, r.spec.container, r.spec.label, ObjectType::kAddressSpace,
+                                     r.spec.quota, &lid);
   if (!d.ok()) {
     return d.status();
   }
   auto as = std::make_unique<AddressSpace>(AllocObjectIdLocked(), lid);
-  as->set_quota_internal(spec.quota);
-  as->set_descrip_internal(spec.descrip);
+  as->set_quota_internal(r.spec.quota);
+  as->set_descrip_internal(r.spec.descrip);
   AddressSpace* raw = as.get();
   InsertObject(std::move(as));
   Status ls = LinkInto(d.value(), raw);
@@ -225,13 +221,12 @@ Result<ObjectId> Kernel::AsCreateLocked(ObjectId self, const CreateSpec& spec) {
   return raw->id();
 }
 
-Status Kernel::AsSetLocked(ObjectId self, ContainerEntry ce,
-                           const std::vector<Mapping>& mappings) {
+Status Kernel::RunLocked(ObjectId self, const AsSetReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -243,22 +238,22 @@ Status Kernel::AsSetLocked(ObjectId self, ContainerEntry ce,
   if (ms != Status::kOk) {
     return ms;
   }
-  for (const Mapping& m : mappings) {
+  for (const Mapping& m : r.mappings) {
     if (m.va % kPageSize != 0 || m.npages == 0) {
       return Status::kInvalidArg;
     }
   }
-  as->mappings_mutable() = mappings;
+  as->mappings_mutable() = r.mappings;
   MarkDirty(as->id());
   return Status::kOk;
 }
 
-Result<std::vector<Mapping>> Kernel::AsGetLocked(ObjectId self, ContainerEntry ce) {
+Result<std::vector<Mapping>> Kernel::RunLocked(ObjectId self, const AsGetReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }
@@ -723,12 +718,12 @@ Status Kernel::DoNetWait(ObjectId self, ContainerEntry dev, uint32_t timeout_ms)
   return port->WaitForFrame(timeout_ms) ? Status::kOk : Status::kTimedOut;
 }
 
-Status Kernel::ConsoleWriteLocked(ObjectId self, ContainerEntry dev, const std::string& text) {
+Status Kernel::RunLocked(ObjectId self, const ConsoleWriteReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, dev);
+  Result<Object*> o = ResolveEntry(*t, r.dev);
   if (!o.ok()) {
     return o.status();
   }
@@ -743,7 +738,7 @@ Status Kernel::ConsoleWriteLocked(ObjectId self, ContainerEntry dev, const std::
   if (ms != Status::kOk) {
     return ms;
   }
-  d->console_buffer() += text;
+  d->console_buffer() += r.text;
   return Status::kOk;
 }
 

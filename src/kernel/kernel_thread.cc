@@ -11,7 +11,7 @@ namespace histar {
 
 // ---- threads -----------------------------------------------------------------
 
-Result<CategoryId> Kernel::CatCreateLocked(ObjectId self) {
+Result<CategoryId> Kernel::RunLocked(ObjectId self, const CatCreateReq&) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -31,7 +31,7 @@ Result<CategoryId> Kernel::CatCreateLocked(ObjectId self) {
   return c;
 }
 
-Status Kernel::SelfSetLabelLocked(ObjectId self, const Label& l) {
+Status Kernel::RunLocked(ObjectId self, const SelfSetLabelReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -39,15 +39,15 @@ Status Kernel::SelfSetLabelLocked(ObjectId self, const Label& l) {
   // L_T ⊑ L ⊑ C_T: a thread may taint itself up to its clearance, and may
   // drop ownership, but may never shed taint. Validated before interning so
   // a rejected relabel leaves no trace in the registry.
-  if (!registry_.LeqWith(t->label_id(), l) || !registry_.LeqOf(l, t->clearance_id())) {
+  if (!registry_.LeqWith(t->label_id(), r.label) || !registry_.LeqOf(r.label, t->clearance_id())) {
     return Status::kLabelCheckFailed;
   }
-  t->set_label_id_internal(registry_.Intern(l));
+  t->set_label_id_internal(registry_.Intern(r.label));
   MarkDirty(self);
   return Status::kOk;
 }
 
-Status Kernel::SelfSetClearanceLocked(ObjectId self, const Label& c) {
+Status Kernel::RunLocked(ObjectId self, const SelfSetClearanceReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -58,18 +58,18 @@ Status Kernel::SelfSetClearanceLocked(ObjectId self, const Label& c) {
   // crossing at a given (clearance, label) pair; `c` itself is interned only
   // once it has passed every check.
   LabelId bound = registry_.Join(t->clearance_id(), registry_.HiOf(t->label_id()));
-  if (!registry_.LeqWith(t->label_id(), c) || !registry_.LeqOf(c, bound)) {
+  if (!registry_.LeqWith(t->label_id(), r.clearance) || !registry_.LeqOf(r.clearance, bound)) {
     return Status::kLabelCheckFailed;
   }
-  if (c.HasLevel(Level::kHi)) {
+  if (r.clearance.HasLevel(Level::kHi)) {
     return Status::kInvalidArg;
   }
-  t->set_clearance_id_internal(registry_.Intern(c));
+  t->set_clearance_id_internal(registry_.Intern(r.clearance));
   MarkDirty(self);
   return Status::kOk;
 }
 
-Result<Label> Kernel::SelfGetLabelLocked(ObjectId self) {
+Result<Label> Kernel::RunLocked(ObjectId self, const SelfGetLabelReq&) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -77,7 +77,7 @@ Result<Label> Kernel::SelfGetLabelLocked(ObjectId self) {
   return LabelOf(*t);
 }
 
-Result<Label> Kernel::SelfGetClearanceLocked(ObjectId self) {
+Result<Label> Kernel::RunLocked(ObjectId self, const SelfGetClearanceReq&) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -85,12 +85,12 @@ Result<Label> Kernel::SelfGetClearanceLocked(ObjectId self) {
   return ClearanceOf(*t);
 }
 
-Status Kernel::SelfSetAsLocked(ObjectId self, ContainerEntry as) {
+Status Kernel::RunLocked(ObjectId self, const SelfSetAsReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, as);
+  Result<Object*> o = ResolveEntry(*t, r.as);
   if (!o.ok()) {
     return o.status();
   }
@@ -101,12 +101,12 @@ Status Kernel::SelfSetAsLocked(ObjectId self, ContainerEntry as) {
   if (!CanObserve(*t, *o.value())) {
     return Status::kLabelCheckFailed;
   }
-  t->set_address_space_internal(as);
+  t->set_address_space_internal(r.as);
   MarkDirty(self);
   return Status::kOk;
 }
 
-Result<ContainerEntry> Kernel::SelfGetAsLocked(ObjectId self) {
+Result<ContainerEntry> Kernel::RunLocked(ObjectId self, const SelfGetAsReq&) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -114,7 +114,7 @@ Result<ContainerEntry> Kernel::SelfGetAsLocked(ObjectId self) {
   return t->address_space();
 }
 
-Status Kernel::SelfHaltLocked(ObjectId self) {
+Status Kernel::RunLocked(ObjectId self, const SelfHaltReq&) {
   {
     Thread* t = GetThread(self);
     if (t == nullptr) {
@@ -129,29 +129,27 @@ Status Kernel::SelfHaltLocked(ObjectId self) {
   return Status::kOk;
 }
 
-Result<ObjectId> Kernel::ThreadCreateLocked(ObjectId self, const CreateSpec& spec,
-                                            const Label& new_label,
-                                            const Label& new_clearance) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const ThreadCreateReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
   // Spawn rule (§3.1): L_T ⊑ L_T' ⊑ C_T' ⊑ C_T, validated before interning.
-  if (!registry_.LeqWith(t->label_id(), new_label) ||
-      !LabelRegistry::LeqDirect(new_label, new_clearance) ||
-      !registry_.LeqOf(new_clearance, t->clearance_id())) {
+  if (!registry_.LeqWith(t->label_id(), r.label) ||
+      !LabelRegistry::LeqDirect(r.label, r.clearance) ||
+      !registry_.LeqOf(r.clearance, t->clearance_id())) {
     return Status::kLabelCheckFailed;
   }
   LabelId nl = kInvalidLabelId;
-  Result<Container*> d = CheckCreate(*t, spec.container, new_label, ObjectType::kThread,
-                                     spec.quota, &nl);
+  Result<Container*> d = CheckCreate(*t, r.spec.container, r.label, ObjectType::kThread,
+                                     r.spec.quota, &nl);
   if (!d.ok()) {
     return d.status();
   }
   auto nt = std::make_unique<Thread>(AllocObjectIdLocked(), nl,
-                                     registry_.Intern(new_clearance));
-  nt->set_quota_internal(spec.quota);
-  nt->set_descrip_internal(spec.descrip);
+                                     registry_.Intern(r.clearance));
+  nt->set_quota_internal(r.spec.quota);
+  nt->set_descrip_internal(r.spec.descrip);
   Thread* raw = nt.get();
   InsertObject(std::move(nt));
   Status ls = LinkInto(d.value(), raw);
@@ -163,12 +161,12 @@ Result<ObjectId> Kernel::ThreadCreateLocked(ObjectId self, const CreateSpec& spe
   return raw->id();
 }
 
-Status Kernel::ThreadAlertLocked(ObjectId self, ContainerEntry thread, uint64_t code) {
+Status Kernel::RunLocked(ObjectId self, const ThreadAlertReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, thread);
+  Result<Object*> o = ResolveEntry(*t, r.thread);
   if (!o.ok()) {
     return o.status();
   }
@@ -190,14 +188,14 @@ Status Kernel::ThreadAlertLocked(ObjectId self, ContainerEntry thread, uint64_t 
   if (!CanObserve(*t, *target)) {
     return Status::kLabelCheckFailed;
   }
-  target->alerts().push_back(code);
+  target->alerts().push_back(r.code);
   // No futex notify: segment-keyed queues cannot address a thread. The
   // target's wait loop sees the pending alert at its next bounded-slice
   // state peek (≤50 ms) and returns kAgain, the EINTR analogue.
   return Status::kOk;
 }
 
-Result<uint64_t> Kernel::SelfNextAlertLocked(ObjectId self) {
+Result<uint64_t> Kernel::RunLocked(ObjectId self, const SelfNextAlertReq&) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -210,21 +208,20 @@ Result<uint64_t> Kernel::SelfNextAlertLocked(ObjectId self) {
   return code;
 }
 
-Status Kernel::SelfLocalReadLocked(ObjectId self, void* buf, uint64_t off, uint64_t len) {
+Status Kernel::RunLocked(ObjectId self, const SelfLocalReadReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  if (!RangeOk(off, len, t->local_segment().size())) {
+  if (!RangeOk(r.off, r.len, t->local_segment().size())) {
     return Status::kRange;
   }
   // CopyBytes: len == 0 at off == size is a valid no-op (null buf allowed).
-  CopyBytes(buf, t->local_segment().data() + off, len);
+  CopyBytes(r.buf, t->local_segment().data() + r.off, r.len);
   return Status::kOk;
 }
 
-Status Kernel::SelfLocalWriteLocked(ObjectId self, const void* buf, uint64_t off,
-                                    uint64_t len) {
+Status Kernel::RunLocked(ObjectId self, const SelfLocalWriteReq& r) {
   // Locked exclusive (see PlanOf) even though only `self` ever writes its
   // local segment: the checkpoint path serializes thread-local pages under
   // the shared table lock, and shared/shared with a concurrent writer
@@ -233,20 +230,17 @@ Status Kernel::SelfLocalWriteLocked(ObjectId self, const void* buf, uint64_t off
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  if (!RangeOk(off, len, t->local_segment().size())) {
+  if (!RangeOk(r.off, r.len, t->local_segment().size())) {
     return Status::kRange;
   }
-  CopyBytes(t->local_segment().data() + off, buf, len);
+  CopyBytes(t->local_segment().data() + r.off, r.buf, r.len);
   MarkDirty(self);
   return Status::kOk;
 }
 
 // ---- gates -------------------------------------------------------------------
 
-Result<ObjectId> Kernel::GateCreateLocked(ObjectId self, const CreateSpec& spec,
-                                          const Label& gate_label, const Label& gate_clearance,
-                                          const std::string& entry_name,
-                                          const std::vector<uint64_t>& closure) {
+Result<ObjectId> Kernel::RunLocked(ObjectId self, const GateCreateReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
@@ -255,28 +249,28 @@ Result<ObjectId> Kernel::GateCreateLocked(ObjectId self, const CreateSpec& spec,
   // privilege works — but only ⋆ the creator already owns (enforced by
   // L_T ⊑ L_G: a non-owner's level-1 never fits below a requested ⋆).
   // Validated before interning, like every caller-supplied label.
-  if (!registry_.LeqWith(t->label_id(), gate_label) ||
-      !LabelRegistry::LeqDirect(gate_label, gate_clearance) ||
-      !registry_.LeqOf(gate_clearance, t->clearance_id())) {
+  if (!registry_.LeqWith(t->label_id(), r.gate_label) ||
+      !LabelRegistry::LeqDirect(r.gate_label, r.gate_clearance) ||
+      !registry_.LeqOf(r.gate_clearance, t->clearance_id())) {
     return Status::kLabelCheckFailed;
   }
   LabelId gl = kInvalidLabelId;
-  Result<Container*> d = CheckCreate(*t, spec.container, gate_label, ObjectType::kGate,
-                                     spec.quota, &gl);
+  Result<Container*> d = CheckCreate(*t, r.spec.container, r.gate_label, ObjectType::kGate,
+                                     r.spec.quota, &gl);
   if (!d.ok()) {
     return d.status();
   }
   {
     // gate_entries_mu_ nests under the table lock (lock hierarchy).
     MutexLock glock(&gate_entries_mu_);
-    if (gate_entries_.find(entry_name) == gate_entries_.end()) {
+    if (gate_entries_.find(r.entry_name) == gate_entries_.end()) {
       return Status::kNotFound;  // entry code segment missing
     }
   }
   auto g = std::make_unique<Gate>(AllocObjectIdLocked(), gl,
-                                  registry_.Intern(gate_clearance), entry_name, closure);
-  g->set_quota_internal(spec.quota);
-  g->set_descrip_internal(spec.descrip);
+                                  registry_.Intern(r.gate_clearance), r.entry_name, r.closure);
+  g->set_quota_internal(r.spec.quota);
+  g->set_descrip_internal(r.spec.descrip);
   Gate* raw = g.get();
   InsertObject(std::move(g));
   Status ls = LinkInto(d.value(), raw);
@@ -362,12 +356,12 @@ Status Kernel::DoGateInvoke(ObjectId self, ContainerEntry gate, const Label& req
   return Status::kOk;
 }
 
-Result<std::vector<uint64_t>> Kernel::GateGetClosureLocked(ObjectId self, ContainerEntry ce) {
+Result<std::vector<uint64_t>> Kernel::RunLocked(ObjectId self, const GateGetClosureReq& r) {
   Thread* t = GetThread(self);
   if (t == nullptr || t->halted()) {
     return Status::kHalted;
   }
-  Result<Object*> o = ResolveEntry(*t, ce);
+  Result<Object*> o = ResolveEntry(*t, r.ce);
   if (!o.ok()) {
     return o.status();
   }

@@ -220,6 +220,7 @@ struct Mapping {
   bool Covers(uint64_t addr) const {
     return addr >= va && addr < va + npages * kPageSize;
   }
+  bool operator==(const Mapping&) const = default;
 };
 
 class AddressSpace : public Object {

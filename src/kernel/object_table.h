@@ -5,9 +5,10 @@
 // table — shared for read-only paths, exclusive for any mutation — and
 // holding it for the checks and the change. Because the lock covers every
 // object, no caller has to know its object footprint in advance. Auxiliary
-// state (futex queues, dirty set, per-thread counters, page-fault handlers,
-// gate entries) lives under leaf mutexes ordered after the table lock; the
-// full hierarchy is in ARCHITECTURE.md ("Concurrency model").
+// state (futex queues, dirty set, page-fault handlers, gate entries) lives
+// under leaf mutexes ordered after the table lock, and the per-thread
+// syscall counters are relaxed atomics; the full hierarchy is in
+// ARCHITECTURE.md ("Concurrency model").
 //
 // Locking rules enforced here:
 //   * TableLock is the only way the table mutex is acquired, and a syscall
@@ -352,7 +353,7 @@ class SCOPED_CAPABILITY TableLock {
 // The epoch-protected stand-in for a TableLock on lock-free read groups
 // (Kernel::SubmitBatch): the caller pairs an EpochGuard with
 // PublishedReadMode, which together substitute for the shared table lock
-// on the side-effect-free *Locked read bodies (kernel.h documents the
+// on the side-effect-free RunLocked read bodies (kernel.h documents the
 // runtime contract; the epoch TSan suites exercise it). This scope tells
 // the static analysis the same table capability is satisfied, so those
 // bodies remain unreachable without either a TableLock or this explicit,

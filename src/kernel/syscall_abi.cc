@@ -1,8 +1,6 @@
-// Name table of the syscall kinds and the completion helper for the batched
-// syscall descriptors (syscall_abi.h).
+// Name table of the syscall kinds and the completion status helper for the
+// batched syscall descriptors (syscall_abi.h).
 #include "src/kernel/syscall_abi.h"
-
-#include <type_traits>
 
 namespace histar {
 
@@ -35,15 +33,7 @@ const char* SyscallKindName(size_t index) {
 }
 
 Status ResStatus(const SyscallRes& res) {
-  return std::visit(
-      [](const auto& alt) -> Status {
-        if constexpr (std::is_same_v<std::decay_t<decltype(alt)>, std::monostate>) {
-          return Status::kInvalidArg;  // never filled
-        } else {
-          return alt.status;
-        }
-      },
-      res);
+  return std::visit([](const auto& c) { return StatusOf(c); }, res);
 }
 
 }  // namespace histar

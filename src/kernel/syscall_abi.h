@@ -3,17 +3,20 @@
 // A descriptor exists if and only if a batch can group its call: every
 // kernel entry point whose body runs entirely under one table lock (or
 // under the lock-free published index) has exactly one request alternative
-// in SyscallReq and one completion alternative in SyscallRes. A batch is a
-// span of requests submitted through Kernel::SubmitBatch, which fills the
-// matching span of completions: completion i always describes request i,
-// carries its own Status (partial failure is per-entry — later entries
-// still execute), and holds alternative index i+1 of SyscallRes (index 0,
-// std::monostate, means "never filled"). The descriptors carry the §3
-// label-rule inputs explicitly — caller-supplied labels, container entries,
-// create specs — so the dispatcher can tell from the descriptor alone which
-// lock mode a request needs; that is what lets SubmitBatch execute a run of
-// requests under ONE TableLock instead of one per call (ARCHITECTURE.md
-// "The batched syscall ABI").
+// in SyscallReq. Each request type names its `Completion`: the Status or
+// Result<T> that its sys_* wrapper returns, which is also what its kernel
+// body returns, so a call has one result type per call and in a batch.
+// SyscallRes is generated from SyscallReq. A batch is a span of requests
+// submitted through Kernel::SubmitBatch, which fills the matching span of
+// completions: completion i always describes request i, carries its own
+// Status (partial failure is per-entry — later entries still execute), and
+// holds alternative index i+1 of SyscallRes (index 0, std::monostate, means
+// "never filled"). The descriptors carry the §3 label-rule inputs
+// explicitly — caller-supplied labels, container entries, create specs — so
+// the dispatcher can tell from the descriptor alone which lock mode a
+// request needs; that is what lets SubmitBatch execute a run of requests
+// under ONE TableLock instead of one per call (ARCHITECTURE.md "The batched
+// syscall ABI").
 //
 // The 13 calls that can never join a group (DirectKind below) have no
 // descriptor: they are plain Kernel methods with one shared entry helper.
@@ -26,6 +29,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -47,37 +52,59 @@ struct CreateSpec {
 
 // ---- Request descriptors (one per batchable sys_* entry point) --------------
 //
+// `Completion` is the type that both the sys_* wrapper and the kernel body
+// return for the request.
+//
 // Threads (§3.1)
-struct CatCreateReq {};
+struct CatCreateReq {
+  using Completion = Result<CategoryId>;
+};
 struct SelfSetLabelReq {
+  using Completion = Status;
   Label label;
 };
 struct SelfSetClearanceReq {
+  using Completion = Status;
   Label clearance;
 };
-struct SelfGetLabelReq {};
-struct SelfGetClearanceReq {};
+struct SelfGetLabelReq {
+  using Completion = Result<Label>;
+};
+struct SelfGetClearanceReq {
+  using Completion = Result<Label>;
+};
 struct SelfSetAsReq {
+  using Completion = Status;
   ContainerEntry as;
 };
-struct SelfGetAsReq {};
-struct SelfHaltReq {};
+struct SelfGetAsReq {
+  using Completion = Result<ContainerEntry>;
+};
+struct SelfHaltReq {
+  using Completion = Status;
+};
 struct ThreadCreateReq {
+  using Completion = Result<ObjectId>;
   CreateSpec spec;
   Label label;
   Label clearance;
 };
 struct ThreadAlertReq {
+  using Completion = Status;
   ContainerEntry thread;
   uint64_t code = 0;
 };
-struct SelfNextAlertReq {};
+struct SelfNextAlertReq {
+  using Completion = Result<uint64_t>;
+};
 struct SelfLocalReadReq {
+  using Completion = Status;
   void* buf = nullptr;
   uint64_t off = 0;
   uint64_t len = 0;
 };
 struct SelfLocalWriteReq {
+  using Completion = Status;
   const void* buf = nullptr;
   uint64_t off = 0;
   uint64_t len = 0;
@@ -85,52 +112,66 @@ struct SelfLocalWriteReq {
 
 // Containers (§3.2, §3.3)
 struct ContainerCreateReq {
+  using Completion = Result<ObjectId>;
   CreateSpec spec;
   uint32_t avoid_types = 0;
 };
 struct ContainerGetParentReq {
+  using Completion = Result<ObjectId>;
   ObjectId container = kInvalidObject;
 };
 struct ContainerListReq {
+  using Completion = Result<std::vector<ObjectId>>;
   ObjectId container = kInvalidObject;
 };
 struct ContainerLinkReq {
+  using Completion = Status;
   ObjectId container = kInvalidObject;
   ContainerEntry src;
 };
 struct ContainerHasReq {
+  using Completion = Result<bool>;
   ObjectId container = kInvalidObject;
   ObjectId obj = kInvalidObject;
 };
 
 // Generic object calls (§3.2)
 struct ObjGetTypeReq {
+  using Completion = Result<ObjectType>;
   ContainerEntry ce;
 };
 struct ObjGetLabelReq {
+  using Completion = Result<Label>;
   ContainerEntry ce;
 };
 struct ObjGetDescripReq {
+  using Completion = Result<std::string>;
   ContainerEntry ce;
 };
 struct ObjGetQuotaReq {
+  using Completion = Result<uint64_t>;
   ContainerEntry ce;
 };
 struct ObjGetMetadataReq {
+  using Completion = Result<std::vector<uint8_t>>;
   ContainerEntry ce;
 };
 struct ObjSetMetadataReq {
+  using Completion = Status;
   ContainerEntry ce;
   const void* data = nullptr;
   uint64_t len = 0;
 };
 struct ObjSetFixedQuotaReq {
+  using Completion = Status;
   ContainerEntry ce;
 };
 struct ObjSetImmutableReq {
+  using Completion = Status;
   ContainerEntry ce;
 };
 struct QuotaMoveReq {
+  using Completion = Status;
   ObjectId d = kInvalidObject;
   ObjectId o = kInvalidObject;
   int64_t n = 0;
@@ -138,27 +179,33 @@ struct QuotaMoveReq {
 
 // Segments (§3)
 struct SegmentCreateReq {
+  using Completion = Result<ObjectId>;
   CreateSpec spec;
   uint64_t len = 0;
 };
 struct SegmentCopyReq {
+  using Completion = Result<ObjectId>;
   CreateSpec spec;
   ContainerEntry src;
 };
 struct SegmentResizeReq {
+  using Completion = Status;
   ContainerEntry ce;
   uint64_t len = 0;
 };
 struct SegmentGetLenReq {
+  using Completion = Result<uint64_t>;
   ContainerEntry ce;
 };
 struct SegmentReadReq {
+  using Completion = Status;
   ContainerEntry ce;
   void* buf = nullptr;
   uint64_t off = 0;
   uint64_t len = 0;
 };
 struct SegmentWriteReq {
+  using Completion = Status;
   ContainerEntry ce;
   const void* buf = nullptr;
   uint64_t off = 0;
@@ -167,18 +214,22 @@ struct SegmentWriteReq {
 
 // Address spaces (§3.4)
 struct AsCreateReq {
+  using Completion = Result<ObjectId>;
   CreateSpec spec;
 };
 struct AsSetReq {
+  using Completion = Status;
   ContainerEntry ce;
   std::vector<Mapping> mappings;
 };
 struct AsGetReq {
+  using Completion = Result<std::vector<Mapping>>;
   ContainerEntry ce;
 };
 
 // Gates (§3.5)
 struct GateCreateReq {
+  using Completion = Result<ObjectId>;
   CreateSpec spec;
   Label gate_label;
   Label gate_clearance;
@@ -186,11 +237,13 @@ struct GateCreateReq {
   std::vector<uint64_t> closure;
 };
 struct GateGetClosureReq {
+  using Completion = Result<std::vector<uint64_t>>;
   ContainerEntry ce;
 };
 
 // Devices (§4.1, §5.7)
 struct ConsoleWriteReq {
+  using Completion = Status;
   ContainerEntry dev;
   std::string text;
 };
@@ -198,150 +251,6 @@ struct ConsoleWriteReq {
 // sys_trace_read's event caps (a max_events of 0 reads the default).
 inline constexpr uint32_t kTraceReadDefaultMax = 256;
 inline constexpr uint32_t kTraceReadMaxEvents = 16384;
-
-// ---- Completion descriptors -------------------------------------------------
-//
-// Every completion leads with its own Status; value fields are meaningful
-// only when status == Status::kOk.
-struct CatCreateRes {
-  Status status = Status::kInvalidArg;
-  CategoryId cat = kInvalidCategory;
-};
-struct SelfSetLabelRes {
-  Status status = Status::kInvalidArg;
-};
-struct SelfSetClearanceRes {
-  Status status = Status::kInvalidArg;
-};
-struct SelfGetLabelRes {
-  Status status = Status::kInvalidArg;
-  Label label;
-};
-struct SelfGetClearanceRes {
-  Status status = Status::kInvalidArg;
-  Label clearance;
-};
-struct SelfSetAsRes {
-  Status status = Status::kInvalidArg;
-};
-struct SelfGetAsRes {
-  Status status = Status::kInvalidArg;
-  ContainerEntry as;
-};
-struct SelfHaltRes {
-  Status status = Status::kInvalidArg;
-};
-struct ThreadCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct ThreadAlertRes {
-  Status status = Status::kInvalidArg;
-};
-struct SelfNextAlertRes {
-  Status status = Status::kInvalidArg;
-  uint64_t code = 0;
-};
-struct SelfLocalReadRes {
-  Status status = Status::kInvalidArg;
-};
-struct SelfLocalWriteRes {
-  Status status = Status::kInvalidArg;
-};
-struct ContainerCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct ContainerGetParentRes {
-  Status status = Status::kInvalidArg;
-  ObjectId parent = kInvalidObject;
-};
-struct ContainerListRes {
-  Status status = Status::kInvalidArg;
-  std::vector<ObjectId> links;
-};
-struct ContainerLinkRes {
-  Status status = Status::kInvalidArg;
-};
-struct ContainerHasRes {
-  Status status = Status::kInvalidArg;
-  bool has = false;
-};
-struct ObjGetTypeRes {
-  Status status = Status::kInvalidArg;
-  ObjectType type = ObjectType::kContainer;
-};
-struct ObjGetLabelRes {
-  Status status = Status::kInvalidArg;
-  Label label;
-};
-struct ObjGetDescripRes {
-  Status status = Status::kInvalidArg;
-  std::string descrip;
-};
-struct ObjGetQuotaRes {
-  Status status = Status::kInvalidArg;
-  uint64_t quota = 0;
-};
-struct ObjGetMetadataRes {
-  Status status = Status::kInvalidArg;
-  std::vector<uint8_t> metadata;
-};
-struct ObjSetMetadataRes {
-  Status status = Status::kInvalidArg;
-};
-struct ObjSetFixedQuotaRes {
-  Status status = Status::kInvalidArg;
-};
-struct ObjSetImmutableRes {
-  Status status = Status::kInvalidArg;
-};
-struct QuotaMoveRes {
-  Status status = Status::kInvalidArg;
-};
-struct SegmentCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct SegmentCopyRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct SegmentResizeRes {
-  Status status = Status::kInvalidArg;
-};
-struct SegmentGetLenRes {
-  Status status = Status::kInvalidArg;
-  uint64_t len = 0;
-};
-struct SegmentReadRes {
-  Status status = Status::kInvalidArg;
-};
-struct SegmentWriteRes {
-  Status status = Status::kInvalidArg;
-};
-struct AsCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct AsSetRes {
-  Status status = Status::kInvalidArg;
-};
-struct AsGetRes {
-  Status status = Status::kInvalidArg;
-  std::vector<Mapping> mappings;
-};
-struct GateCreateRes {
-  Status status = Status::kInvalidArg;
-  ObjectId id = kInvalidObject;
-};
-struct GateGetClosureRes {
-  Status status = Status::kInvalidArg;
-  std::vector<uint64_t> closure;
-};
-struct ConsoleWriteRes {
-  Status status = Status::kInvalidArg;
-};
 
 // ---- The variants -----------------------------------------------------------
 //
@@ -359,19 +268,51 @@ using SyscallReq = std::variant<
     SegmentGetLenReq, SegmentReadReq, SegmentWriteReq, AsCreateReq, AsSetReq, AsGetReq,
     GateCreateReq, GateGetClosureReq, ConsoleWriteReq>;
 
-using SyscallRes = std::variant<
-    std::monostate, CatCreateRes, SelfSetLabelRes, SelfSetClearanceRes, SelfGetLabelRes,
-    SelfGetClearanceRes, SelfSetAsRes, SelfGetAsRes, SelfHaltRes, ThreadCreateRes,
-    ThreadAlertRes, SelfNextAlertRes, SelfLocalReadRes, SelfLocalWriteRes, ContainerCreateRes,
-    ContainerGetParentRes, ContainerListRes, ContainerLinkRes, ContainerHasRes, ObjGetTypeRes,
-    ObjGetLabelRes, ObjGetDescripRes, ObjGetQuotaRes, ObjGetMetadataRes, ObjSetMetadataRes,
-    ObjSetFixedQuotaRes, ObjSetImmutableRes, QuotaMoveRes, SegmentCreateRes, SegmentCopyRes,
-    SegmentResizeRes, SegmentGetLenRes, SegmentReadRes, SegmentWriteRes, AsCreateRes, AsSetRes,
-    AsGetRes, GateCreateRes, GateGetClosureRes, ConsoleWriteRes>;
-
 inline constexpr size_t kNumDescriptorKinds = std::variant_size_v<SyscallReq>;
-static_assert(std::variant_size_v<SyscallRes> == kNumDescriptorKinds + 1,
-              "every request alternative needs exactly one completion alternative");
+
+namespace abi_detail {
+template <typename Req, typename V>
+struct KindOf;
+template <typename Req, typename... Rs>
+struct KindOf<Req, std::variant<Rs...>> {
+  static constexpr size_t value = [] {
+    size_t i = 0;
+    (void)((std::is_same_v<Req, Rs> || (++i, false)) || ...);
+    return i;
+  }();
+  static_assert(value < sizeof...(Rs), "not a SyscallReq alternative");
+};
+template <typename V>
+struct Completions;
+template <typename... Rs>
+struct Completions<std::variant<Rs...>> {
+  using type = std::variant<std::monostate, typename Rs::Completion...>;
+};
+}  // namespace abi_detail
+
+// The syscall kind of a request type: its alternative index in SyscallReq.
+template <typename Req>
+inline constexpr size_t kKindOf = abi_detail::KindOf<Req, SyscallReq>::value;
+
+// Several alternatives share a type (17 are plain Status), so a completion
+// is always reached by index, never by type.
+using SyscallRes = abi_detail::Completions<SyscallReq>::type;
+
+// The completion of a `Req` request, e.g. CompletionOf<SegmentGetLenReq>(res)
+// is the Result<uint64_t> that sys_segment_get_len returns.
+template <typename Req, typename Res>
+decltype(auto) CompletionOf(Res&& res) {
+  return std::get<kKindOf<Req> + 1>(std::forward<Res>(res));
+}
+
+// The Status a completion carries (kInvalidArg for an unfilled monostate).
+inline Status StatusOf(std::monostate) { return Status::kInvalidArg; }
+inline Status StatusOf(Status st) { return st; }
+template <typename T>
+Status StatusOf(const Result<T>& r) {
+  return r.status();
+}
+Status ResStatus(const SyscallRes& res);
 
 // ---- Entry points without a descriptor ---------------------------------------
 //
@@ -403,11 +344,6 @@ inline constexpr size_t kNumSyscallKinds = static_cast<size_t>(DirectKind::kEnd)
 // kind without naming it is a compile error. Consumers: trace dumps,
 // tools/tracefmt, perfbench, docs.
 const char* SyscallKindName(size_t index);
-
-// The Status of a completion (kInvalidArg for an unfilled monostate): every
-// completion alternative leads with one, and the dispatcher's trace hook
-// reads it generically.
-Status ResStatus(const SyscallRes& res);
 
 // ---- sys_trace_read's result ------------------------------------------------
 //

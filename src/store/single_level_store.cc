@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
-#include <set>
 
 #include "src/core/trace.h"
 #include "src/store/store_alloc.h"
@@ -60,46 +59,11 @@ class StoreOpTrace {
 
 }  // namespace
 
-void SingleLevelStore::PutRecord(std::vector<uint8_t>* out, uint64_t id, const ObjRecord& rec) {
-  PutU64(out, id);
-  PutU64(out, rec.extent.offset);
-  PutU64(out, rec.extent.length);
-  PutU64(out, rec.meta_len);
-}
-
-template <typename OnRecord, typename OnDead>
-bool SingleLevelStore::ParseBody(storewire::Reader* r, OnRecord&& on_record,
-                                 OnDead&& on_dead) {
-  uint32_t n_objects = r->U32();
-  for (uint32_t j = 0; j < n_objects && !r->fail; ++j) {
-    uint64_t id = r->U64();
-    ObjRecord rec;
-    rec.extent.offset = r->U64();
-    rec.extent.length = r->U64();
-    rec.meta_len = r->U64();
-    if (!r->fail) {
-      on_record(id, rec);
-    }
-  }
-  uint32_t n_dead = r->U32();
-  for (uint32_t j = 0; j < n_dead && !r->fail; ++j) {
-    uint64_t id = r->U64();
-    if (!r->fail) {
-      on_dead(id);
-    }
-  }
-  return !r->fail;
-}
-
 SingleLevelStore::SingleLevelStore(DiskModel* disk, const StoreTuning& tuning)
     : disk_(disk),
       tuning_(tuning),
       alloc_(2 * 4096 + tuning.log_region_bytes,
-             disk->geometry().capacity_bytes - (2 * 4096 + tuning.log_region_bytes)) {
-  // max_increments is NOT clamped to the superblock's chain capacity: when
-  // the chain fills before an increment budget this large is spent, the
-  // oldest increments fold into one (FoldChain) instead of forcing a base.
-}
+             disk->geometry().capacity_bytes - (2 * 4096 + tuning.log_region_bytes)) {}
 
 uint64_t StoreChecksum(const void* data, size_t len) {
   // FNV-1a. Not cryptographic — it only needs to catch torn writes.
@@ -204,125 +168,6 @@ Status SingleLevelStore::ReadSuperblocks(Superblock* out) {
   return Status::kOk;
 }
 
-Status SingleLevelStore::FoldChain() {
-  // The superblock can name kMaxChain sections and the chain is full, but
-  // nothing demands a base: merge the oldest half of the increments into ONE
-  // increment whose replay is equivalent to replaying them in order. Label
-  // records merge latest-wins per id; each body's map records then its dead
-  // ids apply in order onto (recs, deads). A record may point at an extent
-  // that a later body superseded — harmless, exactly as in a live chain:
-  // replay order guarantees the final map entry wins before any object is
-  // loaded.
-  size_t fold = (chain_.size() - 1) / 2;
-  if (fold < 2) {
-    return Status::kOk;  // nothing to gain
-  }
-  std::map<uint32_t, std::vector<uint8_t>> labels;
-  std::map<uint64_t, ObjRecord> recs;
-  std::set<uint64_t> deads;
-  auto on_record = [&](uint64_t id, const ObjRecord& rec) {
-    recs[id] = rec;
-    deads.erase(id);
-  };
-  auto on_dead = [&](uint64_t id) {
-    recs.erase(id);
-    deads.insert(id);
-  };
-  uint64_t merged_epoch = 0;
-  for (size_t i = 1; i <= fold; ++i) {
-    const Extent& ext = chain_[i];
-    if (ext.length < 8) {
-      return Status::kCorrupt;
-    }
-    std::vector<uint8_t> image(ext.length);
-    Status st = disk_->Read(ext.offset, image.data(), image.size());
-    if (st != Status::kOk) {
-      return st;
-    }
-    uint64_t want;
-    memcpy(&want, image.data() + image.size() - 8, 8);
-    if (StoreChecksum(image.data(), image.size() - 8) != want) {
-      return Status::kCorrupt;
-    }
-    storewire::Reader r{image.data(), image.size() - 8};
-    uint64_t magic = r.U64();
-    uint64_t epoch = r.U64();
-    uint8_t kind = r.U8();
-    uint8_t eng = r.U8();
-    if (r.fail || magic != kSectionMagic || kind != 1 || eng != kBlobEngine) {
-      return Status::kCorrupt;
-    }
-    uint32_t n_labels = r.U32();
-    for (uint32_t j = 0; j < n_labels && !r.fail; ++j) {
-      uint32_t id = r.U32();
-      uint32_t len = r.U32();
-      std::vector<uint8_t> bytes;
-      if (!r.Bytes(&bytes, len)) {
-        break;
-      }
-      labels[id] = std::move(bytes);
-    }
-    if (r.fail || !ParseBody(&r, on_record, on_dead)) {
-      return Status::kCorrupt;
-    }
-    merged_epoch = epoch;
-  }
-
-  StoreAlloc::Check();
-  std::vector<uint8_t> image;
-  PutU64(&image, kSectionMagic);
-  PutU64(&image, merged_epoch);  // replays in the folded range's place
-  PutU8(&image, 1);
-  PutU8(&image, kBlobEngine);
-  PutU32(&image, static_cast<uint32_t>(labels.size()));
-  for (const auto& [id, bytes] : labels) {
-    PutU32(&image, id);
-    PutU32(&image, static_cast<uint32_t>(bytes.size()));
-    image.insert(image.end(), bytes.begin(), bytes.end());
-  }
-  PutU32(&image, static_cast<uint32_t>(recs.size()));
-  for (const auto& [id, rec] : recs) {
-    PutRecord(&image, id, rec);
-  }
-  PutU32(&image, static_cast<uint32_t>(deads.size()));
-  for (uint64_t id : deads) {
-    PutU64(&image, id);
-  }
-  Result<uint64_t> off = alloc_.Allocate(image.size() + 8);
-  if (!off.ok()) {
-    return off.status();
-  }
-  uint64_t csum = StoreChecksum(image.data(), image.size());
-  Status st = disk_->Write(off.value(), image.data(), image.size());
-  if (st == Status::kOk) {
-    st = disk_->Write(off.value() + image.size(), &csum, 8);
-  }
-  if (st != Status::kOk) {
-    StoreAllocNoFail cleanup;
-    alloc_.Free(off.value(), image.size() + 8);
-    return st;
-  }
-  // No Flush here: the merged section only becomes reachable via the
-  // superblock the CALLING commit flips, and that commit barriers everything
-  // before the flip. The folded sections stay on disk untouched — the
-  // current superblock still names them — so their extents are reusable
-  // only after the flip (ordinary shadow-paging discipline).
-  StoreAllocNoFail bookkeeping;
-  std::vector<Extent> next;
-  next.reserve(chain_.size() - fold + 1);
-  next.push_back(chain_[0]);
-  next.push_back(Extent{off.value(), image.size() + 8});
-  for (size_t i = 1; i <= fold; ++i) {
-    pending_frees_.push_back(chain_[i]);
-  }
-  for (size_t i = fold + 1; i < chain_.size(); ++i) {
-    next.push_back(chain_[i]);
-  }
-  chain_ = std::move(next);
-  ++chain_folds_;
-  return Status::kOk;
-}
-
 Status SingleLevelStore::WriteObject(ObjectId id, const std::vector<uint8_t>& bytes,
                                      uint64_t meta_len) {
   // Shadow write: new extent first, then retire the old one, so a crash
@@ -365,19 +210,12 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   // re-emits the complete label table and object map; an increment carries
   // only this epoch's label delta, map updates and deaths. Recovery replays
   // the chain in order, so the chain length bounds replay work — hence the
-  // forced base every max_increments epochs and the fold when the
-  // superblock's chain slots run out first.
+  // forced base once the chain holds max_increments increments, or as many
+  // as the superblock's chain slots can name, whichever comes first.
   StoreAlloc::Check();
-  bool base = need_base_ || chain_.empty() || chain_.size() - 1 >= tuning_.max_increments;
-  if (!base && chain_.size() >= kMaxChain) {
-    Status st = FoldChain();
-    if (st != Status::kOk) {
-      return st;
-    }
-    // Folding can fail to shrink only on a pathologically short chain; a
-    // base then keeps the superblock bounded, as before this PR.
-    base = chain_.size() >= kMaxChain;
-  }
+  size_t increments = chain_.empty() ? 0 : chain_.size() - 1;
+  bool base = need_base_ || chain_.empty() ||
+              increments >= std::min<size_t>(tuning_.max_increments, kMaxChain - 1);
   std::vector<uint8_t> image;
   PutU64(&image, kSectionMagic);
   PutU64(&image, epoch_ + 1);
@@ -417,7 +255,10 @@ Status SingleLevelStore::CommitSection(const std::vector<LabelTableRecord>* labe
   }
   PutU32(&image, static_cast<uint32_t>(entries.size()));
   for (const auto& [id, rec] : entries) {
-    PutRecord(&image, id, rec);
+    PutU64(&image, id);
+    PutU64(&image, rec.extent.offset);
+    PutU64(&image, rec.extent.length);
+    PutU64(&image, rec.meta_len);
   }
   // A base names no dead ids: absence from the map suffices.
   PutU32(&image, base ? 0 : static_cast<uint32_t>(pending_deads_.size()));
@@ -752,14 +593,6 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
   if (sb.chain_len > kMaxChain) {
     return Status::kCorrupt;
   }
-  auto on_record = [this](uint64_t id, const ObjRecord& rec) {
-    mu_.AssertHeld();  // closures don't inherit the caller's lock set
-    objmap_.Insert(id, rec);
-  };
-  auto on_dead = [this](uint64_t id) {
-    mu_.AssertHeld();
-    objmap_.Erase(id);
-  };
   uint64_t prev_epoch = 0;
   for (size_t i = 0; i < sb.chain_len; ++i) {
     Extent ext{sb.chain[2 * i], sb.chain[2 * i + 1]};
@@ -795,7 +628,26 @@ Status SingleLevelStore::RecoverLocked(Kernel* kernel) {
       }
       label_table_[id] = std::move(bytes);
     }
-    if (r.fail || !ParseBody(&r, on_record, on_dead)) {
+    // The body: u32 count + object-map records, then u32 count + dead ids.
+    uint32_t n_objects = r.U32();
+    for (uint32_t j = 0; j < n_objects && !r.fail; ++j) {
+      uint64_t id = r.U64();
+      ObjRecord rec;
+      rec.extent.offset = r.U64();
+      rec.extent.length = r.U64();
+      rec.meta_len = r.U64();
+      if (!r.fail) {
+        objmap_.Insert(id, rec);
+      }
+    }
+    uint32_t n_dead = r.U32();
+    for (uint32_t j = 0; j < n_dead && !r.fail; ++j) {
+      uint64_t id = r.U64();
+      if (!r.fail) {
+        objmap_.Erase(id);
+      }
+    }
+    if (r.fail) {
       return Status::kCorrupt;
     }
     prev_epoch = epoch;

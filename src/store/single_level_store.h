@@ -21,8 +21,9 @@
 //    subsequent checkpoints are increments: they write O(dirty) blobs and an
 //    O(delta) section, never the O(live) map image the pre-incremental
 //    format rewrote every sync. A base is forced on format, after a restore
-//    that could not reproduce the on-disk label-id space, and every
-//    `max_increments` epochs (bounding recovery replay length).
+//    that could not reproduce the on-disk label-id space, and once the chain
+//    holds `max_increments` increments or fills the superblock's kMaxChain
+//    slots, whichever comes first (bounding recovery replay length).
 //  * per-object sync (fsync path): the object's SELF-CONTAINED image is
 //    appended to the sequential write-ahead log and barriered (a log record
 //    must replay without any label table). Logged updates are applied in
@@ -62,17 +63,12 @@
 
 namespace histar {
 
-namespace storewire {
-struct Reader;
-}  // namespace storewire
-
 struct StoreTuning {
   uint64_t log_region_bytes = 16 << 20;   // 16 MB WAL
   uint32_t log_apply_threshold = 1000;    // records before a batch apply
   // Incremental checkpoints between full base snapshots. Bounds the section
-  // chain recovery must replay. When a commit stream outruns the
-  // superblock's chain capacity, the oldest increments are folded into one
-  // merged increment (FoldChain) instead of forcing a base.
+  // chain recovery must replay. The superblock names at most kMaxChain - 1
+  // increments, so a larger value acts as kMaxChain - 1.
   uint32_t max_increments = 32;
 };
 
@@ -146,12 +142,6 @@ class SingleLevelStore : public PersistTarget {
     MutexLock lock(&mu_);
     return label_table_.size();
   }
-  // Times the chain hit superblock capacity and the oldest increments were
-  // merged into one (see FoldChain).
-  uint64_t chain_folds() const {
-    MutexLock lock(&mu_);
-    return chain_folds_;
-  }
   // Shape of the most recent commit point (checkpoint, log apply, or large
   // sync): was it a base, how many object images did it write, how big was
   // its section. These are what the O(dirty)-not-O(live) tests assert.
@@ -200,13 +190,6 @@ class SingleLevelStore : public PersistTarget {
     uint64_t meta_len = 0;
   };
 
-  // A section body (docs/persistence.md): u32 count + object-map records,
-  // then u32 count + dead ids. ParseBody feeds each record and dead id to
-  // its callbacks in order; false on a malformed body.
-  static void PutRecord(std::vector<uint8_t>* out, uint64_t id, const ObjRecord& rec);
-  template <typename OnRecord, typename OnDead>
-  static bool ParseBody(storewire::Reader* r, OnRecord&& on_record, OnDead&& on_dead);
-
   // mu_ held for all of these. The public entry points above are thin
   // wrappers: take mu_, call the *Locked body, and catch std::bad_alloc
   // (the StoreAlloc fault hook and real allocation failure alike) into
@@ -232,11 +215,6 @@ class SingleLevelStore : public PersistTarget {
   // releases superseded extents. Advances epoch_.
   Status CommitSection(const std::vector<LabelTableRecord>* label_delta)
       REQUIRES(mu_);
-  // Chain at superblock capacity but no base due: merge the oldest half of
-  // the increments into ONE replay-equivalent increment section, so a
-  // long-running commit stream never forces an O(live) base just because
-  // the superblock ran out of chain slots.
-  Status FoldChain() REQUIRES(mu_);
   // Folds the outstanding log records into object home locations and
   // commits them as an increment.
   Status ApplyLog() REQUIRES(mu_);
@@ -274,7 +252,6 @@ class SingleLevelStore : public PersistTarget {
   bool last_commit_base_ GUARDED_BY(mu_) = false;
   uint64_t last_commit_objects_ GUARDED_BY(mu_) = 0;
   uint64_t last_section_bytes_ GUARDED_BY(mu_) = 0;
-  uint64_t chain_folds_ GUARDED_BY(mu_) = 0;
 
   // WAL state.
   uint64_t log_head_ GUARDED_BY(mu_) = 0;  // next append offset in the region

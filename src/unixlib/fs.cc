@@ -236,7 +236,7 @@ Result<bool> FileSystem::ScanStillCurrent(ObjectId self, ContainerEntry seg,
   // The length catches an append that landed between the scan's get_len and
   // its read: the read already carried that append's generation.
   return after.generation == scan.header.generation && after.busy == 0 &&
-         std::get<SegmentGetLenRes>(res[1]).len == scan.len;
+         CompletionOf<SegmentGetLenReq>(res[1]).value() == scan.len;
 }
 
 Result<ObjectId> FileSystem::FindEntry(ObjectId self, ContainerEntry seg,

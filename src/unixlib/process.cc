@@ -77,24 +77,24 @@ Status ReleaseCategories(Kernel* kernel, ObjectId self,
   SyscallReq get[2] = {SyscallReq{SelfGetLabelReq{}}, SyscallReq{SelfGetClearanceReq{}}};
   SyscallRes got[2];
   kernel->SubmitBatch(self, get, got);
-  SelfGetLabelRes& mine = std::get<SelfGetLabelRes>(got[0]);
-  SelfGetClearanceRes& clear = std::get<SelfGetClearanceRes>(got[1]);
-  if (mine.status != Status::kOk || clear.status != Status::kOk) {
-    return mine.status != Status::kOk ? mine.status : clear.status;
+  Result<Label>& mine = CompletionOf<SelfGetLabelReq>(got[0]);
+  Result<Label>& clear = CompletionOf<SelfGetClearanceReq>(got[1]);
+  if (!mine.ok() || !clear.ok()) {
+    return !mine.ok() ? mine.status() : clear.status();
   }
   for (CategoryId c : cats) {
     if (c != kInvalidCategory) {
-      mine.label.set(c, mine.label.default_level());
-      clear.clearance.set(c, clear.clearance.default_level());
+      mine.value().set(c, mine.value().default_level());
+      clear.value().set(c, clear.value().default_level());
     }
   }
   // Label first: the lowered clearance must still dominate it.
-  SyscallReq set[2] = {SyscallReq{SelfSetLabelReq{std::move(mine.label)}},
-                       SyscallReq{SelfSetClearanceReq{std::move(clear.clearance)}}};
+  SyscallReq set[2] = {SyscallReq{SelfSetLabelReq{mine.take()}},
+                       SyscallReq{SelfSetClearanceReq{clear.take()}}};
   SyscallRes res[2];
   kernel->SubmitBatch(self, set, res);
-  Status st = std::get<SelfSetLabelRes>(res[0]).status;
-  return st != Status::kOk ? st : std::get<SelfSetClearanceRes>(res[1]).status;
+  Status st = CompletionOf<SelfSetLabelReq>(res[0]);
+  return st != Status::kOk ? st : CompletionOf<SelfSetClearanceReq>(res[1]);
 }
 
 // ---- FdTable -------------------------------------------------------------------
@@ -431,7 +431,7 @@ Result<uint64_t> FdTable::PipeRead(ObjectId self, const FdSegState& st, void* ou
       kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
                            std::span<SyscallRes>(res, cnt));
       for (size_t i = 0; i < data_reads; ++i) {
-        s = std::get<SegmentReadRes>(res[i]).status;
+        s = CompletionOf<SegmentReadReq>(res[i]);
         if (s != Status::kOk) {
           // A data read failed (only possible if someone with modify access
           // shrank the segment) but the header commit in the same sync
@@ -513,7 +513,7 @@ Result<uint64_t> FdTable::PipeWrite(ObjectId self, const FdSegState& st, const v
       kernel_->SubmitBatch(self, std::span<const SyscallReq>(reqs, cnt),
                            std::span<SyscallRes>(res, cnt));
       for (size_t i = 0; i < data_writes; ++i) {
-        s = std::get<SegmentWriteRes>(res[i]).status;
+        s = CompletionOf<SegmentWriteReq>(res[i]);
         if (s != Status::kOk) {
           // Mirror of PipeRead: undo the wpos advance the sync batch's
           // header commit may have published, or the reader would deliver
@@ -588,30 +588,30 @@ Status ProcHandle::Kill(ObjectId self, int signo) {
                        SyscallReq{SelfGetLabelReq{}}, SyscallReq{SelfGetClearanceReq{}}};
   SyscallRes pre_res[3];
   kernel_->SubmitBatch(self, pre, pre_res);
-  Status st = std::get<SelfLocalWriteRes>(pre_res[0]).status;
+  Status st = CompletionOf<SelfLocalWriteReq>(pre_res[0]);
   if (st != Status::kOk) {
     return st;
   }
-  SelfGetLabelRes& mine = std::get<SelfGetLabelRes>(pre_res[1]);
-  SelfGetClearanceRes& myclear = std::get<SelfGetClearanceRes>(pre_res[2]);
-  if (mine.status != Status::kOk || myclear.status != Status::kOk) {
-    return mine.status != Status::kOk ? mine.status : myclear.status;
+  const Result<Label>& mine = CompletionOf<SelfGetLabelReq>(pre_res[1]);
+  const Result<Label>& myclear = CompletionOf<SelfGetClearanceReq>(pre_res[2]);
+  if (!mine.ok() || !myclear.ok()) {
+    return !mine.ok() ? mine.status() : myclear.status();
   }
   // Request the process's pr*/pw* for the duration of the call, then give
   // them back (dropping ownership is a label *raise*, so it is always
   // permitted).
-  Label request = mine.label;
+  Label request = mine.value();
   request.set(ids_.pr, Level::kStar);
   request.set(ids_.pw, Level::kStar);
   st = kernel_->sys_gate_invoke(self, ContainerEntry{ids_.proc_ct, ids_.signal_gate}, request,
-                                myclear.clearance, mine.label);
+                                myclear.value(), mine.value());
   if (st != Status::kOk) {
     return st;
   }
   // Restore label then clearance — one batch again (order preserved within
   // a batch, one lock round-trip).
-  SyscallReq post[2] = {SyscallReq{SelfSetLabelReq{mine.label}},
-                        SyscallReq{SelfSetClearanceReq{myclear.clearance}}};
+  SyscallReq post[2] = {SyscallReq{SelfSetLabelReq{mine.value()}},
+                        SyscallReq{SelfSetClearanceReq{myclear.value()}}};
   SyscallRes post_res[2];
   kernel_->SubmitBatch(self, post, post_res);
   return Status::kOk;

@@ -49,7 +49,7 @@ TEST_F(BatchLockTest, ReadBatchTakesExactlyOneLock) {
   });
   EXPECT_EQ(n, 1u);
   for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(std::get<SegmentReadRes>(res[i]).status, Status::kOk);
+    EXPECT_EQ(CompletionOf<SegmentReadReq>(res[i]), Status::kOk);
   }
 }
 
@@ -105,7 +105,7 @@ TEST_F(BatchLockTest, CreateBatchTakesExactlyOneLock) {
   });
   EXPECT_EQ(n, 1u);
   for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(std::get<SegmentCreateRes>(res[i]).status, Status::kOk);
+    EXPECT_EQ(CompletionOf<SegmentCreateReq>(res[i]).status(), Status::kOk);
   }
 }
 
@@ -128,9 +128,9 @@ TEST_F(BatchLockTest, LockFreeReadBatchTakesZeroLocks) {
     ASSERT_EQ(kernel_->SubmitBatch(init_, reqs, res), Status::kOk);
   });
   EXPECT_EQ(n, 0u);
-  EXPECT_EQ(std::get<ObjGetTypeRes>(res[0]).type, ObjectType::kSegment);
-  EXPECT_EQ(std::get<SegmentGetLenRes>(res[2]).len, 256u);
-  EXPECT_TRUE(std::get<ContainerHasRes>(res[3]).has);
+  EXPECT_EQ(CompletionOf<ObjGetTypeReq>(res[0]).value(), ObjectType::kSegment);
+  EXPECT_EQ(CompletionOf<SegmentGetLenReq>(res[2]).value(), 256u);
+  EXPECT_TRUE(CompletionOf<ContainerHasReq>(res[3]).value());
 }
 
 TEST_F(BatchLockTest, PerCallLockFreeReadsTakeZeroLocks) {

@@ -57,7 +57,7 @@ TEST_F(EpochStressTest, LockFreeReadsRaceCreateDestroy) {
         ASSERT_TRUE(st == Status::kOk || st == Status::kNotFound)
             << StatusName(st);
         if (st == Status::kOk) {
-          uint64_t len = std::get<SegmentGetLenRes>(res[2]).len;
+          uint64_t len = CompletionOf<SegmentGetLenReq>(res[2]).value();
           ASSERT_TRUE(len == 64 || len == 4096) << len;
         }
       }

@@ -5,7 +5,8 @@
 //  * the first checkpoint is a full base; later ones are increments that
 //    write O(dirty) object images and an O(delta) section — never the
 //    O(live) map rewrite of the pre-incremental format;
-//  * a base is forced every max_increments epochs, resetting the chain;
+//  * a base is forced every max_increments epochs, or when the chain fills
+//    the superblock's 48 slots first, resetting the chain;
 //  * checkpoint blobs reference labels by 32-bit id, so a label-heavy world
 //    (1k objects sharing ≤32 labels) writes measurably fewer bytes than the
 //    self-contained format, and restores to an equivalent world;
@@ -272,14 +273,11 @@ TEST_F(IncrementalCheckpointTest, WalRecordsReplayOverTheChain) {
   EXPECT_EQ(out, 'w');
 }
 
-TEST_F(IncrementalCheckpointTest, LongRunningCommitStreamFoldsChain) {
-  // The superblock holds 48 (offset, length) section slots. Before this PR a
-  // commit stream that outlived the slots forced a full base rollover — an
-  // O(live-world) write spike in the middle of an otherwise O(dirty)
-  // workload. Now the store folds the oldest half of the increments into one
-  // merged increment and keeps going: with max_increments effectively
-  // disabled, a 120-sync stream must never exceed the slot budget, never
-  // write a second base, fold at least once, and still restore exactly.
+TEST_F(IncrementalCheckpointTest, ChainNeverOutgrowsTheSuperblock) {
+  // The superblock holds 48 (offset, length) section slots: one base and 47
+  // increments. With max_increments out of the way, a 120-sync stream must
+  // write a base exactly when the next increment would need a 49th slot,
+  // never pass 48 sections, and still restore exactly.
   StoreTuning t = Tuning();
   t.max_increments = 100000;  // only the slot budget bounds the chain
   store_ = std::make_unique<SingleLevelStore>(disk_.get(), t);
@@ -287,20 +285,24 @@ TEST_F(IncrementalCheckpointTest, LongRunningCommitStreamFoldsChain) {
   kernel_->AttachPersistTarget(store_.get());
 
   ObjectId seg = MakeSegment(Label(), 64);
-  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);  // the one and only base
+  ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
   ASSERT_TRUE(store_->last_commit_was_base());
 
+  int bases = 0;
   for (int i = 0; i < 120; ++i) {
+    size_t before = store_->chain_length();
     char b = static_cast<char>('a' + i % 26);
     ASSERT_EQ(kernel_->sys_segment_write(init_, RootEntry(seg), &b,
                                          static_cast<uint64_t>(i % 64), 1),
               Status::kOk);
     ASSERT_EQ(kernel_->sys_sync(init_), Status::kOk);
-    EXPECT_FALSE(store_->last_commit_was_base())
-        << "sync " << i << " fell back to a base rollover";
+    bool full = before == 48;
+    EXPECT_EQ(store_->last_commit_was_base(), full) << "sync " << i;
+    EXPECT_EQ(store_->chain_length(), full ? 1u : before + 1) << "sync " << i;
     EXPECT_LE(store_->chain_length(), 48u) << "sync " << i;
+    bases += full ? 1 : 0;
   }
-  EXPECT_GE(store_->chain_folds(), 1u);
+  EXPECT_EQ(bases, 2);  // at syncs 47 and 95
 
   std::map<ObjectId, std::vector<uint8_t>> before = WorldImage(*kernel_);
   std::unique_ptr<Kernel> k2 = Reboot();
